@@ -33,20 +33,6 @@ IR_BUDGET = 10 ** 7
 REGULAR_BUDGET = 10 ** 7
 
 
-def _verify_automorphism(g: Graph, p: Sequence[int]) -> bool:
-    rows = g.rows
-    for v in range(g.n):
-        mapped = 0
-        w = rows[v]
-        while w:
-            low = w & -w
-            mapped |= 1 << p[low.bit_length() - 1]
-            w ^= low
-        if mapped != rows[p[v]]:
-            return False
-    return True
-
-
 def _twin_swaps(graph: Graph) -> list[Perm]:
     """Transpositions of twin vertices (equal open or closed neighbourhoods)
     are always automorphisms; seeding them collapses the blow-up blocks of
@@ -157,7 +143,7 @@ class _AutSearch:
         for s in list(seeds) + _twin_swaps(graph):
             s = tuple(s)
             if not is_identity(s) and s not in self.gens:
-                if not _verify_automorphism(graph, s):
+                if not graph.is_automorphism(s):
                     raise ValueError("seed permutation is not an automorphism")
                 self.gens.append(s)
         self.first: Optional[tuple[Perm, tuple]] = None
@@ -227,7 +213,7 @@ class _AutSearch:
             if key == other_key:
                 g = pmul(perm, pinv(other_perm))
                 if not is_identity(g) and g not in self.gens:
-                    if _verify_automorphism(self.graph, g):
+                    if self.graph.is_automorphism(g):
                         self.gens.append(g)
                 break
         if key < self.best[1]:
@@ -250,7 +236,7 @@ def is_vertex_transitive(graph: Graph, seeds: Sequence[Perm] = (),
         return True, [[v] for v in range(graph.n)]
     if seeds:
         seed_group = PermGroup(graph.n, [tuple(s) for s in seeds])
-        if not all(_verify_automorphism(graph, s) for s in seed_group.generators):
+        if not all(graph.is_automorphism(s) for s in seed_group.generators):
             raise ValueError("seed permutation is not an automorphism")
         orbits = seed_group.orbits()
         if len(orbits) == 1:
@@ -271,7 +257,8 @@ def are_isomorphic(g1: Graph, g2: Graph,
     if r1.canonical_key != r2.canonical_key:
         return None
     mapping = pmul(r1.canonical, pinv(r2.canonical))
-    assert g1.relabel(mapping) == g2, "canonical forms agreed but mapping fails"
+    if g1.relabel(mapping) != g2:
+        raise RuntimeError("canonical forms agreed but mapping fails")
     return mapping
 
 
@@ -369,7 +356,8 @@ def regular_subgroup_search(aut: PermGroup, budget: int = REGULAR_BUDGET,
     if found is None:
         return RegularSearchOutcome(None, True, nodes)
     group = PermGroup(n, found)
-    assert group.is_regular(), "regular search returned a non-regular group"
+    if not group.is_regular():
+        raise RuntimeError("regular search returned a non-regular group")
     return RegularSearchOutcome(group, True, nodes)
 
 
@@ -471,8 +459,8 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
                                       vertex_order=_bfs_vertex_order(graph))
     millis = (time.perf_counter() - t0) * 1000
     if outcome.group is not None:
-        for p in outcome.group.generators:
-            assert _verify_automorphism(graph, p)
+        if not all(graph.is_automorphism(p) for p in outcome.group.generators):
+            raise RuntimeError("regular subgroup generator is not an automorphism")
         return Certificate("cayley", regular_generators=list(outcome.group.generators),
                            nodes=aut.nodes + outcome.nodes, millis=millis)
     if outcome.exhausted:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import Graph, haar_graph, right_translation_vertex_perm
+from .graphs import haar_graph, right_translation_vertex_perm
 from .groups import (
     GroupTable,
     generating_sequence,
@@ -85,19 +85,6 @@ def fix_vertex_perm(H: GroupTable, aut: Sequence[int], g: int) -> Perm:
     return tuple(images)
 
 
-def _edge_preserving(g: Graph, p: Perm) -> bool:
-    for v in range(g.n):
-        mapped = 0
-        w = g.rows[v]
-        while w:
-            low = w & -w
-            mapped |= 1 << p[low.bit_length() - 1]
-            w ^= low
-        if mapped != g.rows[p[v]]:
-            return False
-    return True
-
-
 def right_translation_group_perms(H: GroupTable) -> list[Perm]:
     """Vertex permutations of right translations by a generating sequence;
     they generate the full translation group on the bi-Cayley vertex set."""
@@ -117,7 +104,8 @@ def part_fix_maps(H: GroupTable, S: int,
         for g in range(H.order):
             if left_translate_mask(H, H.inv[g], S) == s_alpha:
                 p = fix_vertex_perm(H, aut, g)
-                assert _edge_preserving(graph, p), "part-fix map failed edge check"
+                if not graph.is_automorphism(p):
+                    raise RuntimeError("part-fix map failed edge check")
                 out.append(PartFixMap(tuple(aut), g, p))
     out.sort(key=lambda m: (m.aut, m.g))
     return out
@@ -138,7 +126,8 @@ def part_swap_maps(H: GroupTable, S: int,
             for x in range(H.order):
                 if right_translate_mask(H, base, x) == s_alpha:
                     p = swap_vertex_perm(H, aut, x, y)
-                    assert _edge_preserving(graph, p), "part-swap map failed edge check"
+                    if not graph.is_automorphism(p):
+                        raise RuntimeError("part-swap map failed edge check")
                     out.append(PartSwapMap(tuple(aut), x, y, p))
     out.sort(key=lambda m: (m.aut, m.x, m.y))
     return out
@@ -159,15 +148,17 @@ def normalizer_structure(H: GroupTable, S: int) -> NormalizerStructure:
     swap = part_swap_maps(H, S)
     trans_gens = right_translation_group_perms(H)
     translations = PermGroup(2 * H.order, trans_gens)
-    assert translations.order == H.order
+    if translations.order != H.order:
+        raise RuntimeError("right translations must act faithfully")
     gens = list(trans_gens) + [m.perm for m in fix]
     if swap:
         gens.append(swap[0].perm)
     group = PermGroup(2 * H.order, gens)
-    assert group.normalizes(translations), "built group must normalize the translations"
+    if not group.normalizes(translations):
+        raise RuntimeError("built group must normalize the translations")
     expected = translations.order * len(fix) * (2 if swap else 1)
-    assert group.order == expected, \
-        f"normalizer order {group.order} != expected {expected}"
+    if group.order != expected:
+        raise RuntimeError(f"normalizer order {group.order} != expected {expected}")
     return NormalizerStructure(fix, swap, translations, group)
 
 
@@ -179,7 +170,8 @@ def vt_certificate(H: GroupTable, S: int) -> Optional[PermGroup]:
         return None
     group = PermGroup(2 * H.order,
                       right_translation_group_perms(H) + [swap[0].perm])
-    assert group.is_transitive(), "translations plus a part swap must be transitive"
+    if not group.is_transitive():
+        raise RuntimeError("translations plus a part swap must be transitive")
     return group
 
 

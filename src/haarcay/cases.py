@@ -257,7 +257,8 @@ def check_quotient_obstruction(H: GroupTable, normal: int, quotient_set: int,
         n = normal.bit_count()
         blown = lex_product(graph, empty_graph(n))
         blowup_ok = are_isomorphic(big, blown) is not None
-        assert blowup_ok, "blow-up consistency check failed"
+        if not blowup_ok:
+            raise RuntimeError("blow-up consistency check failed")
     conclusion = "not_in_bc" if (not vt and tfree) else "inconclusive"
     return ObstructionReport(H.tag or "?", normal.bit_count(), Q.order,
                              not vt, tfree, blowup_ok, conclusion)
@@ -311,12 +312,8 @@ def verify_certificate(graph: Graph, cert: Certificate) -> bool:
     if cert.verdict == "cayley":
         if not cert.regular_generators:
             return False
-        for p in cert.regular_generators:
-            mapped_ok = all(
-                ((graph.rows[v] >> u) & 1) == ((graph.rows[p[v]] >> p[u]) & 1)
-                for v in range(graph.n) for u in graph.neighbors(v))
-            if not mapped_ok:
-                return False
+        if not all(graph.is_automorphism(p) for p in cert.regular_generators):
+            return False
         return PermGroup(graph.n, cert.regular_generators).is_regular()
     if cert.verdict == "non_cayley":
         if cert.orbit_partition is not None:
@@ -421,17 +418,6 @@ def reproduce_all(workers: int = 1, case_ids: Optional[list[str]] = None) -> lis
 
 # -- inner-abelian scan -----------------------------------------------------------
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def constructor_catalog(max_order: int) -> list[GroupTable]:
     """Deterministic list of catalog groups up to a given order."""
     groups: list[GroupTable] = []
@@ -450,7 +436,7 @@ def constructor_catalog(max_order: int) -> list[GroupTable]:
                     groups.append(mp1_group(p, m, n))
     for p in (2, 3, 5, 7, 11):
         for q in (2, 3, 5, 7):
-            if p == q or not (_is_prime(p) and _is_prime(q)):
+            if p == q:
                 continue
             for n in range(1, 5):
                 if pow(p, n, q) != 1 or n >= q:
@@ -515,7 +501,7 @@ def inner_abelian_scan(max_order: int) -> list[dict]:
         inner = is_inner_abelian(H)
         member = inner_abelian_family_member(H) if inner else None
         if inner and member is None:
-            raise AssertionError(f"{H.tag} is inner abelian but matches no family")
+            raise RuntimeError(f"{H.tag} is inner abelian but matches no family")
         if inner:
             out.append({"tag": H.tag, "order": H.order, "family": member})
     return sorted(out, key=lambda r: (r["order"], r["tag"]))

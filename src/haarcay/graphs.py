@@ -82,6 +82,24 @@ class Graph:
                 v += 1
         return out
 
+    def is_automorphism(self, p: Sequence[int]) -> bool:
+        """Whether the vertex map v -> p[v] is a bijection that carries every
+        neighbourhood onto the neighbourhood of the image; stops at the first
+        row that differs."""
+        if len(p) != self.n:
+            return False
+        rows = self.rows
+        for v in range(self.n):
+            mapped = 0
+            w = rows[v]
+            while w:
+                low = w & -w
+                mapped |= 1 << p[low.bit_length() - 1]
+                w ^= low
+            if mapped != rows[p[v]]:
+                return False
+        return set(p) == set(range(self.n))
+
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image graph: vertex v becomes perm[v]."""
         rows = [0] * self.n

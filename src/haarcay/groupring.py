@@ -40,7 +40,8 @@ def convolve(H: GroupTable, u: Sequence[int], v: Sequence[int]) -> Vector:
         for k, dk in enumerate(v):
             if dk:
                 out[row[k]] += cg * dk
-    assert all(abs(c) < _COEFF_LIMIT for c in out), "coefficient overflow"
+    if any(abs(c) >= _COEFF_LIMIT for c in out):
+        raise OverflowError("coefficient overflow")
     return out
 
 
@@ -95,12 +96,6 @@ class TransitivityModule:
     def contains(self, u: Sequence[int]) -> bool:
         return self.decompose(u) is not None
 
-    def basic_index_of(self, mask: int) -> Optional[int]:
-        try:
-            return self.basic_sets.index(mask)
-        except ValueError:
-            return None
-
     def serialize(self) -> list[list[int]]:
         return sorted(sorted(elements_of(m)) for m in self.basic_sets)
 
@@ -119,11 +114,13 @@ def transitivity_module(H: GroupTable, G: PermGroup) -> TransitivityModule:
     basics = [mask_of(orbit) for orbit in stab.orbits()]
     basics.sort(key=lambda m: (m & -m).bit_length())
     module = TransitivityModule(H, basics)
-    assert basics[0] == 1, "the identity must be a singleton basic set"
+    if basics[0] != 1:
+        raise RuntimeError("the identity must be a singleton basic set")
     vectors = [indicator(H, m) for m in basics]
     for u in vectors:
         for v in vectors:
-            assert module.contains(convolve(H, u, v)), "subring closure fails"
+            if not module.contains(convolve(H, u, v)):
+                raise RuntimeError("subring closure fails")
     return module
 
 

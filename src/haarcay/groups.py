@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 AUT_TABLE_CAP = 200            # automorphism search refuses larger tables
 AUT_SIZE_CAP = 10 ** 6         # ... and refuses to return more maps than this
@@ -179,14 +179,7 @@ def mask_image(mask: int, images: Sequence[int]) -> int:
 
 def left_translate_mask(H: GroupTable, g: int, mask: int) -> int:
     """{g*s : s in mask}."""
-    row = H.mult[g]
-    out = 0
-    v = mask
-    while v:
-        low = v & -v
-        out |= 1 << row[low.bit_length() - 1]
-        v ^= low
-    return out
+    return mask_image(mask, H.mult[g])
 
 
 def right_translate_mask(H: GroupTable, mask: int, g: int) -> int:
@@ -226,8 +219,8 @@ def subgroup_generated(H: GroupTable, mask: int) -> int:
                 nxt.append(i)
         frontier.extend(nxt)
         new = nxt
-    size = closed.bit_count()
-    assert H.order % size == 0, "subgroup size must divide the group order"
+    if H.order % closed.bit_count():
+        raise RuntimeError("subgroup size must divide the group order")
     return closed
 
 
@@ -278,7 +271,7 @@ def quotient(H: GroupTable, normal: int) -> tuple[GroupTable, tuple[int, ...]]:
     for x in range(H.order):
         for y in range(H.order):
             if proj[H.mult[x][y]] != Q.mult[proj[x]][proj[y]]:
-                raise AssertionError("projection is not a homomorphism")
+                raise RuntimeError("projection is not a homomorphism")
     return Q, proj
 
 
@@ -302,80 +295,18 @@ def generating_sequence(H: GroupTable) -> list[int]:
     return gens
 
 
-def group_automorphisms(H: GroupTable) -> list[AutImages]:
-    """All automorphisms of the group, by backtracking over images of a
-    generating sequence.  Results are cached on the table and sorted."""
-    if H._aut_cache is not None:
-        return list(H._aut_cache)
-    if H.order > AUT_TABLE_CAP:
-        raise ValueError(f"automorphism search capped at order {AUT_TABLE_CAP}")
-    gens = generating_sequence(H)
-    by_order: dict[int, list[int]] = {}
-    for e in range(H.order):
-        by_order.setdefault(H.element_order(e), []).append(e)
-    found: list[AutImages] = []
-
-    def close(img: list[int], used: int, seed: int) -> Optional[tuple[list[int], int, list[int]]]:
-        """Propagate products from a newly assigned generator image."""
-        known = [e for e in range(H.order) if img[e] >= 0]
-        queue = [seed]
-        while queue:
-            a = queue.pop()
-            for b in list(known):
-                for x, y in ((a, b), (b, a)):
-                    z = H.mult[x][y]
-                    iz = H.mult[img[x]][img[y]]
-                    if img[z] >= 0:
-                        if img[z] != iz:
-                            return None
-                    else:
-                        if (used >> iz) & 1:
-                            return None
-                        img[z] = iz
-                        used |= 1 << iz
-                        known.append(z)
-                        queue.append(z)
-        return img, used, known
-
-    def extend(level: int, img: list[int], used: int) -> None:
-        if level == len(gens):
-            if used.bit_count() == H.order:
-                found.append(tuple(img))
-                if len(found) > AUT_SIZE_CAP:
-                    raise ValueError("automorphism group larger than cap")
-            return
-        g = gens[level]
-        for cand in by_order[H.element_order(g)]:
-            if (used >> cand) & 1:
-                continue
-            img2 = list(img)
-            img2[g] = cand
-            res = close(img2, used | (1 << cand), g)
-            if res is not None:
-                extend(level + 1, res[0], res[1])
-
-    start = [-1] * H.order
-    start[0] = 0
-    extend(0, start, 1)
-    found.sort()
-    H._aut_cache = found
-    return list(found)
-
-
-def group_isomorphism(G: GroupTable, H: GroupTable) -> Optional[tuple[int, ...]]:
-    """An isomorphism G -> H as an image table, or None.  Same backtracking
-    as the automorphism search, mapping a generating sequence of G into H."""
-    if G.order != H.order:
-        return None
-    if sorted(G.element_order(e) for e in range(G.order)) != \
-            sorted(H.element_order(e) for e in range(H.order)):
-        return None
+def _isomorphisms(G: GroupTable, H: GroupTable) -> Iterator[tuple[int, ...]]:
+    """Every isomorphism G -> H (tables of equal order) as an image table.
+    Backtracks over the images of a generating sequence of G; each new image
+    is closed under products with the images already fixed, and a branch
+    dies as soon as a product clashes or two elements share an image."""
     gens = generating_sequence(G)
     by_order: dict[int, list[int]] = {}
     for e in range(H.order):
         by_order.setdefault(H.element_order(e), []).append(e)
 
     def close(img: list[int], used: int, seed: int) -> Optional[tuple[list[int], int]]:
+        """Propagate products from a newly assigned generator image."""
         known = [e for e in range(G.order) if img[e] >= 0]
         queue = [seed]
         while queue:
@@ -396,9 +327,11 @@ def group_isomorphism(G: GroupTable, H: GroupTable) -> Optional[tuple[int, ...]]
                         queue.append(z)
         return img, used
 
-    def extend(level: int, img: list[int], used: int) -> Optional[tuple[int, ...]]:
+    def extend(level: int, img: list[int], used: int) -> Iterator[tuple[int, ...]]:
         if level == len(gens):
-            return tuple(img) if used.bit_count() == G.order else None
+            if used.bit_count() == G.order:
+                yield tuple(img)
+            return
         g = gens[level]
         for cand in by_order.get(G.element_order(g), ()):
             if (used >> cand) & 1:
@@ -407,20 +340,44 @@ def group_isomorphism(G: GroupTable, H: GroupTable) -> Optional[tuple[int, ...]]
             img2[g] = cand
             res = close(img2, used | (1 << cand), g)
             if res is not None:
-                hit = extend(level + 1, res[0], res[1])
-                if hit is not None:
-                    return hit
-        return None
+                yield from extend(level + 1, *res)
 
     start = [-1] * G.order
     start[0] = 0
     return extend(0, start, 1)
 
 
+def group_automorphisms(H: GroupTable) -> list[AutImages]:
+    """All automorphisms of the group, sorted and cached on the table."""
+    if H._aut_cache is not None:
+        return list(H._aut_cache)
+    if H.order > AUT_TABLE_CAP:
+        raise ValueError(f"automorphism search capped at order {AUT_TABLE_CAP}")
+    found: list[AutImages] = []
+    for images in _isomorphisms(H, H):
+        found.append(images)
+        if len(found) > AUT_SIZE_CAP:
+            raise ValueError("automorphism group larger than cap")
+    found.sort()
+    H._aut_cache = found
+    return list(found)
+
+
+def group_isomorphism(G: GroupTable, H: GroupTable) -> Optional[tuple[int, ...]]:
+    """An isomorphism G -> H as an image table, or None."""
+    if G.order != H.order:
+        return None
+    if sorted(G.element_order(e) for e in range(G.order)) != \
+            sorted(H.element_order(e) for e in range(H.order)):
+        return None
+    return next(_isomorphisms(G, H), None)
+
+
 def inner_automorphism(H: GroupTable, y: int) -> AutImages:
     """x -> y^-1 x y."""
     images = tuple(H.conjugate(x, y) for x in range(H.order))
-    assert is_group_automorphism(H, images)
+    if not is_group_automorphism(H, images):
+        raise RuntimeError("conjugation is not an automorphism")
     return images
 
 
@@ -444,7 +401,8 @@ def _table_from_forms(forms: list[tuple], mul: Callable[[tuple, tuple], tuple],
                       gen_forms: Sequence[tuple[str, tuple]], tag: str) -> GroupTable:
     forms = sorted(forms)
     index = {f: i for i, f in enumerate(forms)}
-    assert index[forms[0]] == 0 and not any(forms[0]), "identity form must sort first"
+    if index[forms[0]] != 0 or any(forms[0]):
+        raise RuntimeError("identity form must sort first")
     n = len(forms)
     mult = [[index[mul(forms[i], forms[j])] for j in range(n)] for i in range(n)]
     gens = [(lbl, index[f]) for lbl, f in gen_forms]
@@ -614,6 +572,24 @@ def _mat_is_identity(a):
     return all(v == (1 if i == j else 0) for i, row in enumerate(a) for j, v in enumerate(row))
 
 
+def _semidirect_table(add: Sequence[Sequence[int]], powers: Sequence[Sequence[int]],
+                      top_order: int) -> list[list[int]]:
+    """Table of the elements (v, j) = a^v t^j, numbered v * top_order + j.
+    ``add`` is the base group's table and ``powers[r]`` the action of t^r on
+    it (t^-1 a^v t = a^(powers[1][v])), so t^j a^u = a^(powers[-j][u]) t^j."""
+    n_elems = len(add) * top_order
+    mult = [[0] * n_elems for _ in range(n_elems)]
+    for v1, add_v1 in enumerate(add):
+        for j1 in range(top_order):
+            row = mult[v1 * top_order + j1]
+            back = powers[(-j1) % len(powers)]
+            for v2 in range(len(add)):
+                base = add_v1[back[v2]] * top_order
+                for j2 in range(top_order):
+                    row[v2 * top_order + j2] = base + (j1 + j2) % top_order
+    return mult
+
+
 def miller_moreno_group(p: int, n: int, q: int, m: int,
                         matrix: Optional[Sequence[Sequence[int]]] = None) -> GroupTable:
     """Z_p^n semidirect Z_(q^m), the top generator acting on the vector part
@@ -667,20 +643,7 @@ def miller_moreno_group(p: int, n: int, q: int, m: int,
     qm = q ** m
     add = [[encode([(x + y) % p for x, y in zip(decode(c1), decode(c2))])
             for c2 in range(pn)] for c1 in range(pn)]
-
-    # element (v, j) = a^v b^j; b^-1 a^v b = a^(M v), so b^j a^u = a^(M^-j u) b^j
-    n_elems = pn * qm
-    mult = [[0] * n_elems for _ in range(n_elems)]
-    for v1 in range(pn):
-        for j1 in range(qm):
-            row = mult[v1 * qm + j1]
-            back = act[(-j1) % q]
-            add_v1 = add[v1]
-            for v2 in range(pn):
-                v = add_v1[back[v2]]
-                base = v * qm
-                for j2 in range(qm):
-                    row[v2 * qm + j2] = base + (j1 + j2) % qm
+    mult = _semidirect_table(add, act, qm)
     gens = [("a", radix[0] * qm), ("b", 1)]
     return GroupTable(mult, gens=gens, tag=f"MillerMoreno({p},{n},{q},{m})")
 
@@ -803,24 +766,15 @@ def presented_group(ngens: int, relators: Sequence[str],
     powers.pop()
 
     ot = orders[t]
-    n_elems = base_size * ot
-    mult = [[0] * n_elems for _ in range(n_elems)]
     add = [[encode([x + y for x, y in zip(decode(c1), decode(c2))])
             for c2 in range(base_size)] for c1 in range(base_size)]
-    for v1 in range(base_size):
-        for j1 in range(ot):
-            row = mult[v1 * ot + j1]
-            back = powers[(-j1) % ot]
-            for v2 in range(base_size):
-                v = add[v1][back[v2]]
-                for j2 in range(ot):
-                    row[v2 * ot + j2] = v * ot + (j1 + j2) % ot
+    mult = _semidirect_table(add, powers, ot)
     gen_elems = []
     for g in range(t):
         e = [0] * t
         e[g] = 1
         gen_elems.append((labels[g], encode(e) * ot))
-    gen_elems.append((labels[t], 1 % n_elems))
+    gen_elems.append((labels[t], 1 % len(mult)))
     G = GroupTable(mult, gens=gen_elems, tag=f"Presented({','.join(labels)})")
 
     concrete = [e for _, e in G.gens]
@@ -866,32 +820,37 @@ def direct_product(factors: Sequence[GroupTable]) -> GroupTable:
 
 # -- FamilySpec dispatch -------------------------------------------------------
 
+# family -> (constructor, required keys in argument order, optional keys)
+_FAMILIES: dict[str, tuple[Callable[..., GroupTable], tuple[str, ...], tuple[str, ...]]] = {
+    "Cyclic": (cyclic_group, ("n",), ()),
+    "Dihedral": (dihedral_group, ("n",), ()),
+    "Quaternion": (quaternion_group, (), ()),
+    "MpMN": (mp_group, ("p", "m", "n"), ()),
+    "MpMN1": (mp1_group, ("p", "m", "n"), ()),
+    "MillerMoreno": (miller_moreno_group, ("p", "n", "q", "m"), ("matrix",)),
+    "Presented": (presented_group, ("ngens", "relators"), ("labels",)),
+    "DirectProduct": (lambda factors: direct_product([group_from_spec(f) for f in factors]),
+                      ("factors",), ()),
+}
+_SPEC_ONLY = ("Presented", "DirectProduct")  # parameters that are not integers
+
+
 def group_from_spec(spec: dict) -> GroupTable:
     """Build a group from the structured FamilySpec format, e.g.
     {"family":"MpMN","p":3,"m":1,"n":1} or
     {"family":"Presented","ngens":3,"relators":[...]}."""
     fam = spec.get("family")
-    if fam == "Cyclic":
-        return cyclic_group(spec["n"])
-    if fam == "Dihedral":
-        return dihedral_group(spec["n"])
-    if fam == "Quaternion":
-        return quaternion_group()
-    if fam == "MpMN":
-        return mp_group(spec["p"], spec["m"], spec["n"])
-    if fam == "MpMN1":
-        return mp1_group(spec["p"], spec["m"], spec["n"])
-    if fam == "MillerMoreno":
-        return miller_moreno_group(spec["p"], spec["n"], spec["q"], spec["m"],
-                                   matrix=spec.get("matrix"))
-    if fam == "Presented":
-        return presented_group(spec["ngens"], spec["relators"], labels=spec.get("labels"))
-    if fam == "DirectProduct":
-        return direct_product([group_from_spec(s) for s in spec["factors"]])
-    raise GroupConstructionError(f"unknown family {fam!r}")
+    if fam not in _FAMILIES:
+        raise GroupConstructionError(f"unknown family {fam!r}")
+    build, required, optional = _FAMILIES[fam]
+    missing = [k for k in required if k not in spec]
+    if missing:
+        raise GroupConstructionError(
+            f"{fam} needs parameters {', '.join(required)}; missing {', '.join(missing)}")
+    return build(*[spec[k] for k in required], *[spec.get(k) for k in optional])
 
 
-_NAME_RE = re.compile(r"^([A-Za-z0-9]+)(?:\(([-0-9,]*)\))?$")
+_NAME_RE = re.compile(r"^([A-Za-z0-9]+)(?:\((-?\d+(?:,-?\d+)*)?\))?$")
 
 
 def group_from_name(name: str) -> GroupTable:
@@ -900,20 +859,15 @@ def group_from_name(name: str) -> GroupTable:
     m = _NAME_RE.match(name.strip())
     if not m:
         raise GroupConstructionError(f"cannot parse group name {name!r}")
-    fam, args = m.group(1), [int(v) for v in m.group(2).split(",")] if m.group(2) else []
-    if fam in ("Quaternion", "Q8"):
-        return quaternion_group()
-    if fam == "Cyclic":
-        return cyclic_group(*args)
-    if fam == "Dihedral":
-        return dihedral_group(*args)
-    if fam == "MpMN":
-        return mp_group(*args)
-    if fam == "MpMN1":
-        return mp1_group(*args)
-    if fam == "MillerMoreno":
-        return miller_moreno_group(*args)
-    raise GroupConstructionError(f"unknown family {fam!r}")
+    fam = "Quaternion" if m.group(1) == "Q8" else m.group(1)
+    args = [int(v) for v in m.group(2).split(",")] if m.group(2) else []
+    if fam not in _FAMILIES or fam in _SPEC_ONLY:
+        raise GroupConstructionError(f"unknown family {fam!r} in group name {name!r}")
+    required = _FAMILIES[fam][1]
+    if len(args) != len(required):
+        raise GroupConstructionError(
+            f"{name!r}: expected {fam}({','.join(required)}), got {len(args)} argument(s)")
+    return group_from_spec({"family": fam, **dict(zip(required, args))})
 
 
 # -- connection-set words -------------------------------------------------------

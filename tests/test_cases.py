@@ -81,6 +81,44 @@ def test_obstruction_m232_confirmed():
     assert report.blowup_isomorphic
 
 
+def test_obstruction_raises_when_blowup_check_fails(monkeypatch):
+    import haarcay.cases
+    H = miller_moreno_group(7, 1, 2, 2)
+    normal = subgroup_generated(H, connection_set(H, "b2"))
+    Q, _ = quotient(H, normal)
+    qset = connection_set(Q, "1,a,a3,b,ab,a2b,a4b")
+    assert check_quotient_obstruction(H, normal, qset).conclusion == "not_in_bc"
+    monkeypatch.setattr(haarcay.cases, "are_isomorphic", lambda g1, g2: None)
+    with pytest.raises(RuntimeError, match="blow-up consistency check failed") as info:
+        check_quotient_obstruction(H, normal, qset)
+    assert not isinstance(info.value, AssertionError)
+
+
+def test_reproduce_under_python_O_matches_normal_run():
+    """The runtime checks are explicit raises, so stripping asserts with -O
+    changes no output."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import haarcay
+    env = dict(os.environ)
+    src = str(Path(haarcay.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for cid in ("d14-not-vt", "obstruct-z7-z4"):
+        runs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, "-m", "haarcay.cli", "reproduce", cid],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            row = json.loads(proc.stdout)
+            row.pop("millis")
+            runs.append(row)
+        assert runs[0] == runs[1], cid
+        assert runs[0]["pass"]
+
+
 def test_enumerate_trivial_group():
     H = cyclic_group(1)
     results = list(enumerate_haar(H))

@@ -146,6 +146,17 @@ def test_right_translations_are_automorphisms():
             for a in range(H.order):
                 perm = right_translation_vertex_perm(H, a)
                 assert graph.relabel(perm) == graph, (H.tag, a)
+                assert graph.is_automorphism(perm), (H.tag, a)
+
+
+def test_is_automorphism_rejects_non_automorphisms():
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert path.is_automorphism((0, 1, 2, 3))
+    assert path.is_automorphism((3, 2, 1, 0))
+    assert not path.is_automorphism((1, 0, 2, 3))  # end vertex swapped with its neighbour
+    assert not path.is_automorphism((0, 1, 2))
+    # on the edgeless graph every row maps to 0, so only the bijection check can fail
+    assert not Graph(3).is_automorphism((0, 0, 1))
 
 
 def test_lex_product_with_single_vertex():

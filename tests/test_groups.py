@@ -1,9 +1,13 @@
+import hashlib
 import random
 
 import pytest
 
+from haarcay.cases import CATALOG, constructor_catalog
 from haarcay.groups import (
     GroupConstructionError,
+    GroupTable,
+    _isomorphisms,
     center_mask,
     connection_set,
     cyclic_group,
@@ -167,6 +171,29 @@ def test_group_isomorphisms_from_presentations():
     assert group_isomorphism(quaternion_group(), dihedral_group(4)) is None
 
 
+def test_isomorphisms_onto_a_relabelled_copy():
+    """The one backtrack behind group_isomorphism and group_automorphisms:
+    onto a copy with shuffled element names, it finds a homomorphism, and the
+    isomorphisms it lists are exactly the relabelling after each automorphism."""
+    rng = random.Random(11)
+    for H in constructor_catalog(12):
+        n = H.order
+        sigma = [0] + rng.sample(range(1, n), n - 1)
+        mult = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                mult[sigma[x]][sigma[y]] = sigma[H.mult[x][y]]
+        K = GroupTable(mult, tag="relabelled")
+        phi = group_isomorphism(H, K)
+        assert phi is not None and sorted(phi) == list(range(n)), H.tag
+        assert all(phi[H.mult[x][y]] == K.mult[phi[x]][phi[y]]
+                   for x in range(n) for y in range(n)), H.tag
+        isos = list(_isomorphisms(H, K))
+        auts = group_automorphisms(H)
+        assert len(isos) == len(auts), H.tag
+        assert set(isos) == {tuple(sigma[a[x]] for x in range(n)) for a in auts}, H.tag
+
+
 def test_presented_matches_canonical_action():
     z23z7 = presented_group(4, [
         "xx", "yy", "zz", "uuuuuuu", "XYxy", "XZxz", "YZyz",
@@ -284,6 +311,18 @@ def test_family_spec_json_roundtrip():
     assert K.order == 8 and K.is_abelian()
     assert group_from_name("MpMN1(3,1,1)").order == 27
     assert group_from_name("Q8").tag == "Q8"
+    assert group_from_name("Quaternion").tag == "Q8"
+    for name, expected in (("Cyclic(1,2)", r"Cyclic\(n\)"), ("Cyclic", r"Cyclic\(n\)"),
+                           ("MpMN(2,2)", r"MpMN\(p,m,n\)"),
+                           ("Quaternion(3)", r"Quaternion\(\)"),
+                           ("Presented(3)", "unknown family"),
+                           ("Cyclic(1,,2)", "cannot parse")):
+        with pytest.raises(GroupConstructionError, match=expected):
+            group_from_name(name)
+    with pytest.raises(GroupConstructionError, match="missing n"):
+        group_from_spec({"family": "Cyclic"})
+    with pytest.raises(GroupConstructionError, match="missing relators"):
+        group_from_spec({"family": "Presented", "ngens": 2})
 
 
 def test_word_evaluation():
@@ -316,6 +355,22 @@ def test_element_index_ordering_is_documented_normal_form():
     assert M.gen("a") == 2 and M.gen("b") == 1 and M.gen("c") == 4
     Q = quaternion_group()
     assert Q.gen("i") == 4 and Q.gen("j") == 2
+    # the semidirect-product tables, pinned by a short hash of mult
+    pinned = {
+        "MillerMoreno(3,1,2,1)": "adb4c0df0a6c", "MillerMoreno(5,1,2,1)": "58cf06e3a129",
+        "MillerMoreno(2,2,3,1)": "ea64ef3f07c6", "MillerMoreno(3,1,2,2)": "926d2a06c37d",
+        "MillerMoreno(7,1,2,1)": "8f7e47a51378", "MillerMoreno(5,1,2,2)": "ef347cd62f37",
+        "MillerMoreno(7,1,3,1)": "46bceffd9d4d", "MillerMoreno(11,1,2,1)": "e100fe49b777",
+        "MillerMoreno(3,1,2,3)": "9808d3a45512", "MillerMoreno(7,1,2,2)": "c4017491e5fe",
+        "MillerMoreno(2,2,3,2)": "e2da6225c503", "MillerMoreno(5,1,2,3)": "0e41712a906b",
+        "Presented(x,y,z)": "ea64ef3f07c6", "Presented(x,y,z,u)": "3138c767c5bc",
+        "Presented(x,y,z,v,w)": "46c42780f86c",
+    }
+    built = [H for H in constructor_catalog(30) if H.tag.startswith(("MillerMoreno", "Presented"))]
+    built += [group_from_spec(c.group) for c in CATALOG
+              if c.group["family"] in ("MillerMoreno", "Presented")]
+    hashes = {H.tag: hashlib.sha256(repr(H.mult).encode()).hexdigest()[:12] for H in built}
+    assert hashes == pinned
 
 
 def test_random_catalog_axiom_spotchecks():
