@@ -297,20 +297,6 @@ def regular_subgroup_search(aut: PermGroup, budget: int = REGULAR_BUDGET,
     nodes = 0
     ident = identity_perm(n)
 
-    def stab_elements():
-        # lazy chain enumeration of the point stabilizer
-        levels = stab0._levels
-
-        def rec(i):
-            if i < 0:
-                yield ident
-                return
-            for h in rec(i - 1):
-                for t in levels[i].transversal.values():
-                    yield pmul(h, t)
-
-        return rec(len(levels) - 1)
-
     def closed_with(elems: frozenset, g: Perm) -> Optional[frozenset]:
         nonlocal nodes
         result = set(elems)
@@ -340,7 +326,7 @@ def regular_subgroup_search(aut: PermGroup, budget: int = REGULAR_BUDGET,
         v = next((u for u in order if u not in orbit), None)
         if v is None:
             return None  # transitive but order < n: cannot become regular
-        for s in stab_elements():
+        for s in stab0.elements():
             cand = pmul(s, transversal[v])
             grown = closed_with(elems, cand)
             if grown is not None:
@@ -417,9 +403,10 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     """Decide whether the graph is a Cayley graph (some regular subgroup of
     automorphisms), with an explicit certificate either way.
 
-    Pipeline: vertex-transitivity first (intransitive means NonCayley); then
-    the cheap bi-Cayley certificates when provenance hints are present; then
-    the exhaustive regular-subgroup search.  Unknown only on budget
+    Pipeline: one automorphism search, whose orbits decide vertex-transitivity
+    (intransitive means NonCayley); then the cheap bi-Cayley certificates
+    when provenance hints are present; then the exhaustive regular-subgroup
+    search in the same automorphism group.  Unknown only on budget
     exhaustion.
     """
     t0 = time.perf_counter()
@@ -427,12 +414,12 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     if hints is not None:
         seeds = right_translation_group_perms(hints.table)
     try:
-        vt, orbits = is_vertex_transitive(graph, seeds, ir_budget)
+        aut = automorphism_group(graph, seeds, ir_budget)
     except BudgetExceeded as exc:
         return Certificate("unknown", budget_report={"stage": exc.what, "budget": exc.budget},
                            millis=(time.perf_counter() - t0) * 1000)
-    if not vt:
-        return Certificate("non_cayley", orbit_partition=orbits,
+    if len(aut.orbits) > 1:
+        return Certificate("non_cayley", orbit_partition=aut.orbits,
                            millis=(time.perf_counter() - t0) * 1000)
     if hints is not None:
         swap = cayley_certificate_from_swaps(hints.table, hints.spokes)
@@ -450,11 +437,6 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
             return Certificate("cayley", regular_generators=list(inner.group.generators),
                                nodes=inner.nodes,
                                millis=(time.perf_counter() - t0) * 1000)
-    try:
-        aut = automorphism_group(graph, seeds, ir_budget)
-    except BudgetExceeded as exc:
-        return Certificate("unknown", budget_report={"stage": exc.what, "budget": exc.budget},
-                           millis=(time.perf_counter() - t0) * 1000)
     outcome = regular_subgroup_search(aut.group, budget=regular_budget,
                                       vertex_order=_bfs_vertex_order(graph))
     millis = (time.perf_counter() - t0) * 1000

@@ -215,7 +215,7 @@ class ObstructionReport:
     quotient_order: int
     not_vertex_transitive: bool
     translate_free: bool
-    blowup_isomorphic: bool
+    blowup_isomorphic: Optional[bool]     # None when the check was skipped
     conclusion: str                       # "not_in_bc" | "inconclusive"
 
     def to_json_dict(self) -> dict:
@@ -250,7 +250,7 @@ def check_quotient_obstruction(H: GroupTable, normal: int, quotient_set: int,
     seeds = right_translation_group_perms(Q)
     vt, _ = is_vertex_transitive(graph, seeds)
     tfree = translate_free(Q, quotient_set)
-    blowup_ok = True
+    blowup_ok = None
     if verify_blowup:
         lifted = mask_of(h for h in range(H.order) if (quotient_set >> proj[h]) & 1)
         big, _ = haar_graph(H, lifted)
@@ -403,17 +403,10 @@ def reproduce(case_id: str) -> dict:
     return run_case(CASE_INDEX[case_id])
 
 
-def reproduce_all(workers: int = 1, case_ids: Optional[list[str]] = None) -> list[dict]:
-    """Run catalog cases (all by default), optionally in a process pool;
-    the report order is by case_id regardless of completion order."""
+def reproduce_all(case_ids: Optional[list[str]] = None) -> list[dict]:
+    """Run catalog cases (all by default) in case_id order."""
     ids = sorted(CASE_INDEX) if case_ids is None else sorted(case_ids)
-    if workers <= 1:
-        reports = [reproduce(cid) for cid in ids]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(reproduce, ids))
-    return sorted(reports, key=lambda r: r["case_id"])
+    return [reproduce(cid) for cid in ids]
 
 
 # -- inner-abelian scan -----------------------------------------------------------

@@ -5,7 +5,9 @@ as @path-to-json, or as compact names like MpMN1(3,1,1), Dihedral(7), Q8.
 Connection sets are comma-separated words over the group's named generators
 ("1,a,a-1,b,ab").  HAARCAY_BUDGET overrides the search node budgets.
 
-Exit status is 0 only when every executed check passed.
+Exit status is 0 only when every executed check passed, 1 when a check
+failed or a verdict is unknown, and 2 for bad input, which prints one line to
+stderr.
 """
 
 from __future__ import annotations
@@ -40,7 +42,12 @@ from .groups import (
 
 def _budget(default: int) -> int:
     raw = os.environ.get("HAARCAY_BUDGET")
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"HAARCAY_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _load_group(spec: str) -> GroupTable:
@@ -120,7 +127,7 @@ def cmd_obstruct(args) -> int:
 
 def cmd_reproduce(args) -> int:
     if args.all:
-        reports = reproduce_all(workers=args.workers)
+        reports = reproduce_all()
     elif args.case_id:
         try:
             reports = [reproduce(args.case_id)]
@@ -191,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="re-run catalog cases")
     p.add_argument("case_id", nargs="?")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("enumerate", help="classify Haar graphs over all anchored spoke sets")
@@ -210,7 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # bad input: GroupConstructionError, bad JSON, bad words
+        print(f"haarcay: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

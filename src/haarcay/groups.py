@@ -847,6 +847,10 @@ def group_from_spec(spec: dict) -> GroupTable:
     if missing:
         raise GroupConstructionError(
             f"{fam} needs parameters {', '.join(required)}; missing {', '.join(missing)}")
+    for k in required:
+        v = spec[k]
+        if k not in ("relators", "factors") and (not isinstance(v, int) or isinstance(v, bool)):
+            raise GroupConstructionError(f"{fam} parameter {k} must be an integer, got {v!r}")
     return build(*[spec[k] for k in required], *[spec.get(k) for k in optional])
 
 

@@ -12,7 +12,7 @@ Composition convention: ``pmul(p, q)`` applies p first, then q
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Perm = tuple  # length-degree tuple of images
 
@@ -256,13 +256,18 @@ class PermGroup:
                     out.append(g)
         return out
 
-    def elements(self, cap: int = 10 ** 6) -> list[Perm]:
-        if self.order > cap:
-            raise ValueError(f"refusing to enumerate {self.order} elements (cap {cap})")
-        out = [identity_perm(self.degree)]
-        for level in reversed(self._levels):
-            out = [pmul(h, t) for h in out for t in level.transversal.values()]
-        return out
+    def elements(self) -> Iterator[Perm]:
+        """Every element exactly once, lazily, as the product of one
+        transversal element per level with the deepest applied first (the
+        factorization ``sift`` undoes); the deepest level varies slowest."""
+        def walk(i: int, prefix: Perm) -> Iterator[Perm]:
+            if i < 0:
+                yield prefix
+                return
+            for t in self._levels[i].transversal.values():
+                yield from walk(i - 1, pmul(prefix, t))
+
+        return walk(len(self._levels) - 1, identity_perm(self.degree))
 
     def setwise_stabilizer(self, points: Iterable[int], budget: int = SETWISE_BUDGET) -> "PermGroup":
         """{g : points^g = points}, by depth-first search over the stabilizer

@@ -3,13 +3,14 @@ import random
 
 from haarcay.automorphisms import (
     Certificate,
+    _bfs_vertex_order,
     are_isomorphic,
     automorphism_group,
     cayley_status,
     is_vertex_transitive,
     regular_subgroup_search,
 )
-from haarcay.bicayley import BiCayleyHints
+from haarcay.bicayley import BiCayleyHints, right_translation_group_perms
 from haarcay.graphs import (
     Graph,
     cayley_graph,
@@ -175,6 +176,37 @@ def test_regular_subgroup_in_cycle():
     res = regular_subgroup_search(automorphism_group(cycle_graph(6)).group)
     assert res.group is not None
     assert res.group.order == 6 and res.group.is_regular()
+
+
+def test_regular_subgroup_search_walks_every_stabilizer_element():
+    # Haar(Z8, {0, 4}) is 4C4, a Cayley graph; a search that skips stabilizer
+    # elements used to report exhaustion here without finding a regular group
+    H = cyclic_group(8)
+    g, _ = haar_graph(H, mask_of([0, 4]))
+    aut = automorphism_group(g, right_translation_group_perms(H)).group
+    res = regular_subgroup_search(aut, budget=20_000, vertex_order=_bfs_vertex_order(g))
+    assert res.group is not None or not res.exhausted
+    if res.group is not None:
+        assert res.group.is_regular()
+
+
+def test_cayley_status_runs_one_automorphism_search(monkeypatch):
+    import haarcay.automorphisms as automorphisms
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return automorphism_group(*args, **kwargs)
+
+    monkeypatch.setattr(automorphisms, "automorphism_group", counting)
+    assert cayley_status(cycle_graph(6)).verdict == "cayley"
+    assert len(calls) == 1
+    calls.clear()
+    H = quaternion_group()
+    S = connection_set(H, "1,i,j")
+    g, _ = haar_graph(H, S)
+    assert cayley_status(g, hints=BiCayleyHints(H, S)).verdict == "cayley"
+    assert len(calls) == 1
 
 
 def test_regular_subgroup_intransitive_input():

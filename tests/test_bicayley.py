@@ -216,7 +216,7 @@ def test_swaps_iff_part_swapping_normalizer_element():
             continue
         translations = PermGroup(2 * H.order, right_translation_group_perms(H))
         swapping_normalizer_element = False
-        for p in aut.elements(cap=200_000):
+        for p in aut.elements():
             if p[0] >= H.order:  # maps part 0 into part 1
                 pi = pinv(p)
                 if all(translations.contains(pmul(pmul(pi, t), p))

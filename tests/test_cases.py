@@ -68,6 +68,9 @@ def test_obstruction_full_quotient_set_is_inconclusive():
     report = check_quotient_obstruction(H, N, (1 << Q.order) - 1, verify_blowup=False)
     assert not report.translate_free
     assert report.conclusion == "inconclusive"
+    # the skipped blow-up check is reported as not run, not as passed
+    assert report.blowup_isomorphic is None
+    assert report.to_json_dict()["blowup_isomorphic"] is None
 
 
 def test_obstruction_m232_confirmed():
@@ -187,35 +190,20 @@ def test_verify_certificate_rejects_tampering():
     assert not verify_certificate(graph, cert)
 
 
-def test_reproduce_all_workers_agree():
-    from haarcay.cases import reproduce_all
-    ids = ["m2211-not-vt", "d14-not-vt", "z3-z4-not-vt", "dihedral-bc-4"]
-
-    def strip(rows):
-        out = []
-        for r in rows:
-            r = dict(r)
-            r.pop("millis")
-            out.append(r)
-        return out
-
-    assert strip(reproduce_all(workers=1, case_ids=ids)) == \
-        strip(reproduce_all(workers=2, case_ids=ids))
-
-
 def test_reproduce_all_deterministic_modulo_timing():
     fast = ["m3111-not-vt", "m2211-not-vt", "d14-not-vt", "z3-z4-not-vt",
             "a4-not-vt", "q8-all-connected-cayley", "dihedral-bc-6"]
 
     def snapshot():
         rows = []
-        for cid in fast:
-            r = reproduce(cid)
+        for r in reproduce_all(case_ids=fast):
             r.pop("millis")
             rows.append(json.dumps(r, sort_keys=True))
         return rows
 
-    assert snapshot() == snapshot()
+    first = snapshot()
+    assert [json.loads(r)["case_id"] for r in first] == sorted(fast)
+    assert first == snapshot()
 
 
 def test_catalog_case_ids_unique_and_claims_present():
@@ -298,6 +286,22 @@ def test_cli_reproduce_without_arguments_lists_cases(capsys):
     assert main(["reproduce"]) == 2
     err = capsys.readouterr().err
     assert "m3111-not-vt" in err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["build-group", "Cyclic(1,2)"], None),
+    (["build-group", "{bad"], None),
+    (["status", "Q8", "--set", "1,q"], None),
+    (["status", "Q8", "--set", "1,i"], "abc"),
+], ids=["bad-name", "bad-json", "bad-word", "bad-budget-env"])
+def test_cli_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
+    from haarcay.cli import main
+    if env is not None:
+        monkeypatch.setenv("HAARCAY_BUDGET", env)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_cli_budget_env_yields_unknown(tmp_path, capsys, monkeypatch):

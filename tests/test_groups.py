@@ -323,6 +323,12 @@ def test_family_spec_json_roundtrip():
         group_from_spec({"family": "Cyclic"})
     with pytest.raises(GroupConstructionError, match="missing relators"):
         group_from_spec({"family": "Presented", "ngens": 2})
+    for spec, key in (({"family": "Cyclic", "n": "6"}, "n"),
+                      ({"family": "Cyclic", "n": 2.5}, "n"),
+                      ({"family": "MpMN", "p": 2, "m": 2, "n": True}, "n"),
+                      ({"family": "Presented", "ngens": "2", "relators": []}, "ngens")):
+        with pytest.raises(GroupConstructionError, match=f"parameter {key} must be an integer"):
+            group_from_spec(spec)
 
 
 def test_word_evaluation():

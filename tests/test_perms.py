@@ -94,6 +94,11 @@ def test_order_matches_exhaustive_enumeration():
         G = bsgs(gens, degree=n)
         if G.order <= 10 ** 4:
             assert G.order == len(set(G.elements()))
+            # a chain of length two or more lists each element exactly once
+            K = G.stabilizer(0)
+            elems = list(K.elements())
+            assert len(elems) == len(set(elems)) == K.order
+            assert all(p[0] == 0 and K.contains(p) for p in elems)
 
 
 def test_orbit_stabilizer_relation():
