@@ -22,7 +22,6 @@ from typing import Iterable, Optional, Sequence
 from .bicayley import (
     BiCayleyHints,
     cayley_certificate_from_swaps,
-    normalizer_structure,
     right_translation_group_perms,
 )
 from .graphs import Graph
@@ -230,19 +229,9 @@ def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
 
 def is_vertex_transitive(graph: Graph, seeds: Sequence[Perm] = (),
                          budget: int = IR_BUDGET) -> tuple[bool, list[list[int]]]:
-    """Whether Aut has a single vertex orbit, plus the orbit partition.
-    If the seed automorphisms already act transitively, that settles it."""
-    if graph.n <= 1:
-        return True, [[v] for v in range(graph.n)]
-    if seeds:
-        seed_group = PermGroup(graph.n, [tuple(s) for s in seeds])
-        if not all(graph.is_automorphism(s) for s in seed_group.generators):
-            raise ValueError("seed permutation is not an automorphism")
-        orbits = seed_group.orbits()
-        if len(orbits) == 1:
-            return True, orbits
-    result = automorphism_group(graph, seeds, budget)
-    return len(result.orbits) == 1, result.orbits
+    """Whether Aut has at most one vertex orbit, plus the orbit partition."""
+    orbits = automorphism_group(graph, seeds, budget).orbits
+    return len(orbits) <= 1, orbits
 
 
 def are_isomorphic(g1: Graph, g2: Graph,
@@ -403,11 +392,12 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     """Decide whether the graph is a Cayley graph (some regular subgroup of
     automorphisms), with an explicit certificate either way.
 
-    Pipeline: one automorphism search, whose orbits decide vertex-transitivity
-    (intransitive means NonCayley); then the cheap bi-Cayley certificates
-    when provenance hints are present; then the exhaustive regular-subgroup
-    search in the same automorphism group.  Unknown only on budget
-    exhaustion.
+    Three stages: one automorphism search, whose orbits decide
+    vertex-transitivity (intransitive means NonCayley); then, when provenance
+    hints are present, the part-swap certificate (the right translations and
+    a part-swapping map whose square is a translation); then the exhaustive
+    regular-subgroup search in the same automorphism group.  Unknown only on
+    budget exhaustion.
     """
     t0 = time.perf_counter()
     seeds: list[Perm] = []
@@ -427,15 +417,6 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
             group, witness = swap
             return Certificate("cayley", regular_generators=list(group.generators),
                                swap_witness=witness,
-                               millis=(time.perf_counter() - t0) * 1000)
-        # the normalizer of the right translations is small; a regular
-        # subgroup inside it is cheap to look for before the full search
-        ns = normalizer_structure(hints.table, hints.spokes)
-        inner = regular_subgroup_search(ns.group, budget=regular_budget,
-                                        vertex_order=_bfs_vertex_order(graph))
-        if inner.group is not None:
-            return Certificate("cayley", regular_generators=list(inner.group.generators),
-                               nodes=inner.nodes,
                                millis=(time.perf_counter() - t0) * 1000)
     outcome = regular_subgroup_search(aut.group, budget=regular_budget,
                                       vertex_order=_bfs_vertex_order(graph))

@@ -12,8 +12,10 @@ that.  A part-swapping map proves vertex-transitivity, and one whose square
 is a right translation yields a regular subgroup of order 2|H|, i.e. a
 Cayley certificate.
 
-Everything here is brute force over Aut(H) x H (x H), checked by explicit
-edge preservation; no coset cleverness.
+Both families are found by lookup: the translates g^-1 S (n masks) and
+y^-1 S^-1 x (n^2 masks) are indexed once, and S^a is looked up once per
+a in Aut(H).  Every accepted map is still built and checked by explicit
+edge preservation.
 """
 
 from __future__ import annotations
@@ -93,44 +95,46 @@ def right_translation_group_perms(H: GroupTable) -> list[Perm]:
         [right_translation_vertex_perm(H, 0)]
 
 
+def _matching_maps(H: GroupTable, S: int, auts: Optional[Sequence[tuple]],
+                   translates: dict[int, list[tuple]], kind, vertex_perm) -> list:
+    """``kind(aut, *key, vertex_perm(H, aut, *key))`` for every automorphism
+    a of H and every key indexed under S^a in ``translates``, each verified
+    edge-preserving; sorted by (aut images, key)."""
+    graph, _ = haar_graph(H, S)
+    hits = []
+    for aut in (auts if auts is not None else group_automorphisms(H)):
+        aut = tuple(aut)
+        for key in translates.get(mask_image(S, aut), ()):
+            perm = vertex_perm(H, aut, *key)
+            if not graph.is_automorphism(perm):
+                raise RuntimeError(f"{kind.__name__} failed edge check")
+            hits.append(((aut, key), kind(aut, *key, perm)))
+    hits.sort(key=lambda hit: hit[0])
+    return [m for _, m in hits]
+
+
 def part_fix_maps(H: GroupTable, S: int,
                   auts: Optional[Sequence[tuple]] = None) -> list[PartFixMap]:
-    """All part-fixing automorphisms (the set F), exhaustively over
-    Aut(H) x H, each verified edge-preserving."""
-    graph, _ = haar_graph(H, S)
-    out = []
-    for aut in (auts if auts is not None else group_automorphisms(H)):
-        s_alpha = mask_image(S, aut)
-        for g in range(H.order):
-            if left_translate_mask(H, H.inv[g], S) == s_alpha:
-                p = fix_vertex_perm(H, aut, g)
-                if not graph.is_automorphism(p):
-                    raise RuntimeError("part-fix map failed edge check")
-                out.append(PartFixMap(tuple(aut), g, p))
-    out.sort(key=lambda m: (m.aut, m.g))
-    return out
+    """All part-fixing automorphisms (the set F): a with S^a = g^-1 S,
+    looked up among the n left translates of S.  Sorted by (aut images, g)."""
+    translates: dict[int, list[tuple]] = {}
+    for g in range(H.order):
+        translates.setdefault(left_translate_mask(H, H.inv[g], S), []).append((g,))
+    return _matching_maps(H, S, auts, translates, PartFixMap, fix_vertex_perm)
 
 
 def part_swap_maps(H: GroupTable, S: int,
                    auts: Optional[Sequence[tuple]] = None) -> list[PartSwapMap]:
-    """All part-swapping automorphisms (the set I), exhaustively over
-    Aut(H) x H x H, each verified edge-preserving.  Sorted by
+    """All part-swapping automorphisms (the set I): a with S^a = y^-1 S^-1 x,
+    looked up among the n^2 two-sided translates of S^-1.  Sorted by
     (aut images, x, y) so "first" is reproducible."""
-    graph, _ = haar_graph(H, S)
     s_inv = inverse_mask(H, S)
-    out = []
-    for aut in (auts if auts is not None else group_automorphisms(H)):
-        s_alpha = mask_image(S, aut)
-        for y in range(H.order):
-            base = left_translate_mask(H, H.inv[y], s_inv)
-            for x in range(H.order):
-                if right_translate_mask(H, base, x) == s_alpha:
-                    p = swap_vertex_perm(H, aut, x, y)
-                    if not graph.is_automorphism(p):
-                        raise RuntimeError("part-swap map failed edge check")
-                    out.append(PartSwapMap(tuple(aut), x, y, p))
-    out.sort(key=lambda m: (m.aut, m.x, m.y))
-    return out
+    translates: dict[int, list[tuple]] = {}
+    for y in range(H.order):
+        base = left_translate_mask(H, H.inv[y], s_inv)
+        for x in range(H.order):
+            translates.setdefault(right_translate_mask(H, base, x), []).append((x, y))
+    return _matching_maps(H, S, auts, translates, PartSwapMap, swap_vertex_perm)
 
 
 @dataclass
@@ -181,10 +185,10 @@ def cayley_certificate_from_swaps(H: GroupTable, S: int) -> Optional[tuple[PermG
     lexicographically least such map is reported.  Absence of this
     certificate says nothing about Cayley-ness."""
     n = H.order
-    translations = {right_translation_vertex_perm(H, g) for g in range(n)}
     trans_gens = right_translation_group_perms(H)
     for m in part_swap_maps(H, S):
-        if pmul(m.perm, m.perm) in translations:
+        square = pmul(m.perm, m.perm)
+        if square == right_translation_vertex_perm(H, square[0]):
             group = PermGroup(2 * n, trans_gens + [m.perm])
             if group.order == 2 * n and group.is_regular():
                 return group, m.witness()

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .automorphisms import (
+    IR_BUDGET,
+    REGULAR_BUDGET,
     Certificate,
     are_isomorphic,
     automorphism_group,
@@ -230,12 +232,15 @@ class ObstructionReport:
         }
 
 
+def _translate_fixers(Q: GroupTable, S: int) -> list[int]:
+    """The non-identity x with Sx = S or xS = S, in increasing order."""
+    return [x for x in range(1, Q.order)
+            if right_translate_mask(Q, S, x) == S or left_translate_mask(Q, x, S) == S]
+
+
 def translate_free(Q: GroupTable, S: int) -> bool:
     """S != Sx and S != xS for every non-identity x."""
-    for x in range(1, Q.order):
-        if right_translate_mask(Q, S, x) == S or left_translate_mask(Q, x, S) == S:
-            return False
-    return True
+    return not _translate_fixers(Q, S)
 
 
 def check_quotient_obstruction(H: GroupTable, normal: int, quotient_set: int,
@@ -294,7 +299,8 @@ def anchored_class_representatives(H: GroupTable) -> list[int]:
 
 
 def enumerate_haar(H: GroupTable, connected_only: bool = False,
-                   dedupe: bool = True) -> Iterator[tuple[int, Certificate]]:
+                   dedupe: bool = True, ir_budget: int = IR_BUDGET,
+                   regular_budget: int = REGULAR_BUDGET) -> Iterator[tuple[int, Certificate]]:
     """Classify Haar graphs of H over anchored spoke sets (one per
     equivalence class when dedupe is on)."""
     full = (1 << H.order) - 1
@@ -304,7 +310,7 @@ def enumerate_haar(H: GroupTable, connected_only: bool = False,
         if connected_only and subgroup_generated(H, S) != full:
             continue
         graph, _ = haar_graph(H, S)
-        yield S, cayley_status(graph, hints=BiCayleyHints(H, S))
+        yield S, cayley_status(graph, BiCayleyHints(H, S), ir_budget, regular_budget)
 
 
 def verify_certificate(graph: Graph, cert: Certificate) -> bool:
@@ -336,14 +342,11 @@ def run_case(case: CaseSpec) -> dict:
         result = automorphism_group(graph, seeds)
         nodes = result.nodes
         verdict = "not_vertex_transitive" if len(result.orbits) > 1 else "vertex_transitive"
-        fixers = [t for t in range(1, H.order)
-                  if right_translate_mask(H, S, t) == S or
-                  left_translate_mask(H, t, S) == S]
         certificate = {
             "vertices": graph.n,
             "aut_order": result.group.order,
             "orbit_sizes": sorted(len(o) for o in result.orbits),
-            "translate_fixers": fixers,
+            "translate_fixers": _translate_fixers(H, S),
         }
         ok = verdict == case.expected
     elif case.kind == "bc_enumerate":

@@ -3,7 +3,7 @@
 Groups are given as inline FamilySpec JSON ('{"family":"MpMN1","p":3,...}'),
 as @path-to-json, or as compact names like MpMN1(3,1,1), Dihedral(7), Q8.
 Connection sets are comma-separated words over the group's named generators
-("1,a,a-1,b,ab").  HAARCAY_BUDGET overrides the search node budgets.
+("1,a,a-1,b,ab").  HAARCAY_BUDGET sets the node budgets of aut, status, enumerate.
 
 Exit status is 0 only when every executed check passed, 1 when a check
 failed or a verdict is unknown, and 2 for bad input, which prints one line to
@@ -149,8 +149,9 @@ def cmd_reproduce(args) -> int:
 def cmd_enumerate(args) -> int:
     H = _load_group(args.group)
     ok = True
-    for S, cert in enumerate_haar(H, connected_only=args.connected,
-                                  dedupe=args.dedupe):
+    for S, cert in enumerate_haar(H, connected_only=args.connected, dedupe=args.dedupe,
+                                  ir_budget=_budget(IR_BUDGET),
+                                  regular_budget=_budget(REGULAR_BUDGET)):
         row = cert.to_json_dict()
         row["set"] = sorted(elements_of(S))
         _emit(row)

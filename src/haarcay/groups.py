@@ -200,7 +200,6 @@ def inverse_mask(H: GroupTable, mask: int) -> int:
 def subgroup_generated(H: GroupTable, mask: int) -> int:
     """Closure of the subset (plus identity) under products and inverses."""
     closed = 1  # identity
-    frontier = [0]
     new = [e for e in elements_of(mask) if not (closed >> e) & 1]
     for e in new:
         closed |= 1 << e

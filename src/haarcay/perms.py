@@ -12,6 +12,7 @@ Composition convention: ``pmul(p, q)`` applies p first, then q
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 Perm = tuple  # length-degree tuple of images
@@ -61,13 +62,8 @@ def perm_order(p: Perm) -> int:
             seen[j] = True
             j = p[j]
             length += 1
-        order = _lcm(order, length)
+        order = lcm(order, length)
     return order
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a * b // gcd(a, b)
 
 
 class _Level:

@@ -91,3 +91,30 @@ def brute_force_group_automorphisms(H: GroupTable) -> list[tuple[int, ...]]:
                for x in range(n) for y in range(n)):
             out.append(images)
     return out
+
+
+def brute_force_part_maps(H: GroupTable, S: int, auts) -> tuple[list, list]:
+    """Every part-fixing map h_0 -> (h^a)_0, h_1 -> (g h^a)_1 as (a, g, perm)
+    and every part-swapping map h_0 -> (x h^a)_1, h_1 -> (y h^a)_0 as
+    (a, x, y, perm) that preserves the edge set h_0 ~ (sh)_1 of Haar(H, S),
+    by trying every a in sorted(auts) with every g, and every (x, y)."""
+    n = H.order
+    mul = H.mult
+    edges = {frozenset((h, n + mul[s][h])) for h in range(n) for s in elements_of(S)}
+
+    def preserves(images: tuple) -> bool:  # a bijection, so edges into edges is enough
+        return all(frozenset(images[v] for v in e) in edges for e in edges)
+
+    fix, swap = [], []
+    for a in sorted(tuple(a) for a in auts):
+        for g in range(n):
+            images = tuple(a) + tuple(n + mul[g][a[h]] for h in range(n))
+            if preserves(images):
+                fix.append((a, g, images))
+        for x in range(n):
+            for y in range(n):
+                images = tuple(n + mul[x][a[h]] for h in range(n)) + \
+                    tuple(mul[y][a[h]] for h in range(n))
+                if preserves(images):
+                    swap.append((a, x, y, images))
+    return fix, swap

@@ -10,7 +10,8 @@ from haarcay.automorphisms import (
     is_vertex_transitive,
     regular_subgroup_search,
 )
-from haarcay.bicayley import BiCayleyHints, right_translation_group_perms
+from haarcay import bicayley
+from haarcay.bicayley import BiCayleyHints, normalizer_structure, right_translation_group_perms
 from haarcay.graphs import (
     Graph,
     cayley_graph,
@@ -29,6 +30,7 @@ from haarcay.groups import (
     dihedral_group,
     mask_of,
     mp1_group,
+    mp_group,
     quaternion_group,
 )
 from haarcay.perms import PermGroup, bsgs
@@ -207,6 +209,22 @@ def test_cayley_status_runs_one_automorphism_search(monkeypatch):
     g, _ = haar_graph(H, S)
     assert cayley_status(g, hints=BiCayleyHints(H, S)).verdict == "cayley"
     assert len(calls) == 1
+    # vertex-transitive with no part swap: the full regular search decides
+    # it, and the normalizer of the right translations is never built
+    H = mp_group(2, 2, 2)
+    S = mask_of([0, 3, 4, 5, 9, 10])
+    assert normalizer_structure(H, S).swap_maps == []
+    monkeypatch.setattr(bicayley, "normalizer_structure", _never_called)
+    monkeypatch.setattr(automorphisms, "normalizer_structure", _never_called, raising=False)
+    calls.clear()
+    g, _ = haar_graph(H, S)
+    cert = cayley_status(g, hints=BiCayleyHints(H, S))
+    assert cert.verdict == "cayley" and cert.swap_witness is None
+    assert len(calls) == 1
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("normalizer_structure called")
 
 
 def test_regular_subgroup_intransitive_input():

@@ -17,6 +17,7 @@ from haarcay.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    group_automorphisms,
     group_from_spec,
     mask_of,
     miller_moreno_group,
@@ -26,6 +27,8 @@ from haarcay.groups import (
     subgroup_generated,
 )
 from haarcay.perms import PermGroup, identity_perm, pinv, pmul
+
+from oracles import brute_force_part_maps
 
 A4_SPEC = {
     "family": "Presented",
@@ -234,3 +237,31 @@ def test_translation_perms_generate_order_h():
         G = PermGroup(2 * H.order, right_translation_group_perms(H))
         assert G.order == H.order
         assert G.contains(right_translation_vertex_perm(H, 5 % H.order))
+
+
+def test_part_maps_match_brute_force_scan():
+    """The translate lookup finds exactly the maps of the naive Aut(H) x H
+    and Aut(H) x H x H scans, in the same order, and |I| is 0 or |H|*|F|."""
+    rng = random.Random(29)
+    instances = []
+    for H in (cyclic_group(4), cyclic_group(6), dihedral_group(3)):
+        instances += [(H, S | 1, None) for S in range(0, 1 << H.order, 2)]
+    for H in (quaternion_group(), dihedral_group(4), mp1_group(2, 2, 1),
+              group_from_spec(A4_SPEC)):
+        instances += [(H, rand_anchored_set(H, rng, rng.choice([0.3, 0.6])), None)
+                      for _ in range(3)]
+        instances += [(H, mask_of(e for e in range(H.order) if rng.random() < 0.4), None)
+                      for _ in range(3)]
+        instances.append((H, 0, None))
+        instances.append((H, rand_anchored_set(H, rng, 0.5),
+                          list(reversed(group_automorphisms(H)))))
+    unanchored = with_swaps = 0
+    for H, S, auts in instances:
+        fix, swap = brute_force_part_maps(H, S, auts or group_automorphisms(H))
+        assert [(m.aut, m.g, m.perm) for m in part_fix_maps(H, S, auts)] == fix, (H.tag, S)
+        assert [(m.aut, m.x, m.y, m.perm) for m in part_swap_maps(H, S, auts)] == swap, \
+            (H.tag, S)
+        assert len(swap) in (0, H.order * len(fix)), (H.tag, S)
+        unanchored += not S & 1
+        with_swaps += bool(swap)
+    assert unanchored >= 8 and 0 < with_swaps < len(instances)

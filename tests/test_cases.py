@@ -311,3 +311,11 @@ def test_cli_budget_env_yields_unknown(tmp_path, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert rc == 1 and out["verdict"] == "unknown"
     assert "budget_report" in out
+
+
+def test_cli_enumerate_reads_budget_env(capsys, monkeypatch):
+    monkeypatch.setenv("HAARCAY_BUDGET", "5")
+    from haarcay.cli import main
+    assert main(["enumerate", "Q8", "--dedupe"]) == 1
+    rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert any(row["verdict"] == "unknown" and "budget_report" in row for row in rows)
