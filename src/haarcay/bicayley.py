@@ -13,15 +13,17 @@ is a right translation yields a regular subgroup of order 2|H|, i.e. a
 Cayley certificate.
 
 Both families are found by lookup: the translates g^-1 S (n masks) and
-y^-1 S^-1 x (n^2 masks) are indexed once, and S^a is looked up once per
-a in Aut(H).  Every accepted map is still built and checked by explicit
-edge preservation.
+y^-1 S^-1 x (n^2 masks) are indexed once, in key order, and S^a is looked up
+once per a in Aut(H), in sorted order.  One lazy matcher yields the maps in
+(aut images, key) order, each built and checked by explicit edge preservation
+only when it is reached.  The public lists take every map; the certificates
+stop at the first usable one, so they build no map they do not need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graphs import haar_graph, right_translation_vertex_perm
 from .groups import (
@@ -96,21 +98,18 @@ def right_translation_group_perms(H: GroupTable) -> list[Perm]:
 
 
 def _matching_maps(H: GroupTable, S: int, auts: Optional[Sequence[tuple]],
-                   translates: dict[int, list[tuple]], kind, vertex_perm) -> list:
-    """``kind(aut, *key, vertex_perm(H, aut, *key))`` for every automorphism
-    a of H and every key indexed under S^a in ``translates``, each verified
-    edge-preserving; sorted by (aut images, key)."""
+                   translates: dict[int, list[tuple]], kind, vertex_perm) -> Iterator:
+    """Lazily, ``kind(aut, *key, vertex_perm(H, aut, *key))`` for every
+    automorphism a of H and every key indexed under S^a in ``translates``,
+    each verified edge-preserving; in (aut images, key) order when every
+    index list is appended in key order."""
     graph, _ = haar_graph(H, S)
-    hits = []
-    for aut in (auts if auts is not None else group_automorphisms(H)):
-        aut = tuple(aut)
+    for aut in sorted(map(tuple, auts if auts is not None else group_automorphisms(H))):
         for key in translates.get(mask_image(S, aut), ()):
             perm = vertex_perm(H, aut, *key)
             if not graph.is_automorphism(perm):
                 raise RuntimeError(f"{kind.__name__} failed edge check")
-            hits.append(((aut, key), kind(aut, *key, perm)))
-    hits.sort(key=lambda hit: hit[0])
-    return [m for _, m in hits]
+            yield kind(aut, *key, perm)
 
 
 def part_fix_maps(H: GroupTable, S: int,
@@ -120,7 +119,19 @@ def part_fix_maps(H: GroupTable, S: int,
     translates: dict[int, list[tuple]] = {}
     for g in range(H.order):
         translates.setdefault(left_translate_mask(H, H.inv[g], S), []).append((g,))
-    return _matching_maps(H, S, auts, translates, PartFixMap, fix_vertex_perm)
+    return list(_matching_maps(H, S, auts, translates, PartFixMap, fix_vertex_perm))
+
+
+def _swap_maps(H: GroupTable, S: int,
+               auts: Optional[Sequence[tuple]] = None) -> Iterator[PartSwapMap]:
+    """The part-swapping maps of ``part_swap_maps``, lazily and in its order."""
+    s_inv = inverse_mask(H, S)
+    bases = [left_translate_mask(H, H.inv[y], s_inv) for y in range(H.order)]
+    translates: dict[int, list[tuple]] = {}
+    for x in range(H.order):
+        for y, base in enumerate(bases):
+            translates.setdefault(right_translate_mask(H, base, x), []).append((x, y))
+    return _matching_maps(H, S, auts, translates, PartSwapMap, swap_vertex_perm)
 
 
 def part_swap_maps(H: GroupTable, S: int,
@@ -128,13 +139,7 @@ def part_swap_maps(H: GroupTable, S: int,
     """All part-swapping automorphisms (the set I): a with S^a = y^-1 S^-1 x,
     looked up among the n^2 two-sided translates of S^-1.  Sorted by
     (aut images, x, y) so "first" is reproducible."""
-    s_inv = inverse_mask(H, S)
-    translates: dict[int, list[tuple]] = {}
-    for y in range(H.order):
-        base = left_translate_mask(H, H.inv[y], s_inv)
-        for x in range(H.order):
-            translates.setdefault(right_translate_mask(H, base, x), []).append((x, y))
-    return _matching_maps(H, S, auts, translates, PartSwapMap, swap_vertex_perm)
+    return list(_swap_maps(H, S, auts))
 
 
 @dataclass
@@ -169,11 +174,10 @@ def normalizer_structure(H: GroupTable, S: int) -> NormalizerStructure:
 def vt_certificate(H: GroupTable, S: int) -> Optional[PermGroup]:
     """A transitive subgroup of Aut built from the translations and one
     part-swapping map, when such a map exists."""
-    swap = part_swap_maps(H, S)
-    if not swap:
+    swap = next(_swap_maps(H, S), None)
+    if swap is None:
         return None
-    group = PermGroup(2 * H.order,
-                      right_translation_group_perms(H) + [swap[0].perm])
+    group = PermGroup(2 * H.order, right_translation_group_perms(H) + [swap.perm])
     if not group.is_transitive():
         raise RuntimeError("translations plus a part swap must be transitive")
     return group
@@ -182,11 +186,12 @@ def vt_certificate(H: GroupTable, S: int) -> Optional[PermGroup]:
 def cayley_certificate_from_swaps(H: GroupTable, S: int) -> Optional[tuple[PermGroup, dict]]:
     """A regular subgroup of order 2|H|: the translations extended by a
     part-swapping map whose square is itself a right translation.  The
-    lexicographically least such map is reported.  Absence of this
-    certificate says nothing about Cayley-ness."""
+    first such map in the order of ``part_swap_maps`` is reported, and no
+    map after it is built.  Absence of this certificate says nothing about
+    Cayley-ness."""
     n = H.order
     trans_gens = right_translation_group_perms(H)
-    for m in part_swap_maps(H, S):
+    for m in _swap_maps(H, S):
         square = pmul(m.perm, m.perm)
         if square == right_translation_vertex_perm(H, square[0]):
             group = PermGroup(2 * n, trans_gens + [m.perm])

@@ -217,7 +217,7 @@ class ObstructionReport:
     quotient_order: int
     not_vertex_transitive: bool
     translate_free: bool
-    blowup_isomorphic: Optional[bool]     # None when the check was skipped
+    blowup_isomorphic: bool
     conclusion: str                       # "not_in_bc" | "inconclusive"
 
     def to_json_dict(self) -> dict:
@@ -243,30 +243,36 @@ def translate_free(Q: GroupTable, S: int) -> bool:
     return not _translate_fixers(Q, S)
 
 
-def check_quotient_obstruction(H: GroupTable, normal: int, quotient_set: int,
-                               verify_blowup: bool = True) -> ObstructionReport:
+def check_quotient_obstruction(H: GroupTable, normal: int, quotient_set: int) -> ObstructionReport:
     """The quotient obstruction: if the Haar graph of H/N with spokes S is not
     vertex-transitive and S has no nontrivial translate symmetry, then the
     union-of-cosets Haar graph of H is not Cayley (it is a blow-up of an
     intransitive graph, which the product automorphism criterion keeps
-    intransitive)."""
+    intransitive).
+
+    The blow-up is checked by its witness, not by a search: the coset map
+    h_i -> (pi(h)_i, rank of h within its coset) must be a bijection that
+    carries the Haar graph of H onto Haar(H/N, S)[E_|N|].  The only
+    automorphism search is the quotient's vertex-transitivity check."""
     Q, proj = quotient(H, normal)
     graph, _ = haar_graph(Q, quotient_set)
-    seeds = right_translation_group_perms(Q)
-    vt, _ = is_vertex_transitive(graph, seeds)
+    vt, _ = is_vertex_transitive(graph, right_translation_group_perms(Q))
     tfree = translate_free(Q, quotient_set)
-    blowup_ok = None
-    if verify_blowup:
-        lifted = mask_of(h for h in range(H.order) if (quotient_set >> proj[h]) & 1)
-        big, _ = haar_graph(H, lifted)
-        n = normal.bit_count()
-        blown = lex_product(graph, empty_graph(n))
-        blowup_ok = are_isomorphic(big, blown) is not None
-        if not blowup_ok:
-            raise RuntimeError("blow-up consistency check failed")
+    lifted = mask_of(h for h in range(H.order) if (quotient_set >> proj[h]) & 1)
+    big, _ = haar_graph(H, lifted)
+    m = normal.bit_count()
+    ranks = [0] * Q.order
+    phi = [0] * big.n
+    for h in range(H.order):
+        coset = proj[h]
+        phi[h] = coset * m + ranks[coset]
+        phi[H.order + h] = (Q.order + coset) * m + ranks[coset]
+        ranks[coset] += 1
+    if sorted(phi) != list(range(big.n)) or \
+            big.relabel(phi) != lex_product(graph, empty_graph(m)):
+        raise RuntimeError("blow-up consistency check failed")
     conclusion = "not_in_bc" if (not vt and tfree) else "inconclusive"
-    return ObstructionReport(H.tag or "?", normal.bit_count(), Q.order,
-                             not vt, tfree, blowup_ok, conclusion)
+    return ObstructionReport(H.tag or "?", m, Q.order, not vt, tfree, True, conclusion)
 
 
 def anchored_class_representatives(H: GroupTable) -> list[int]:

@@ -38,6 +38,7 @@ from .groups import (
     quotient,
     subgroup_generated,
 )
+from .perms import BudgetExceeded
 
 
 def _budget(default: int) -> int:
@@ -88,7 +89,12 @@ def cmd_haar(args) -> int:
 
 def cmd_aut(args) -> int:
     graph = read_edge_list(Path(args.edges).read_text(encoding="utf-8"))
-    result = automorphism_group(graph, budget=_budget(IR_BUDGET))
+    try:
+        result = automorphism_group(graph, budget=_budget(IR_BUDGET))
+    except BudgetExceeded as exc:
+        _emit({"verdict": "unknown", "vertices": graph.n,
+               "budget_report": {"stage": exc.what, "budget": exc.budget}})
+        return 1
     _emit({
         "vertices": graph.n,
         "aut_order": str(result.group.order),

@@ -17,8 +17,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 Perm = tuple  # length-degree tuple of images
 
-SETWISE_BUDGET = 10 ** 7
-
 
 class BudgetExceeded(RuntimeError):
     """A bounded search ran out of its node budget before finishing."""
@@ -264,38 +262,6 @@ class PermGroup:
                 yield from walk(i - 1, pmul(prefix, t))
 
         return walk(len(self._levels) - 1, identity_perm(self.degree))
-
-    def setwise_stabilizer(self, points: Iterable[int], budget: int = SETWISE_BUDGET) -> "PermGroup":
-        """{g : points^g = points}, by depth-first search over the stabilizer
-        chain with membership pruning.  Exact; raises BudgetExceeded if the
-        node budget runs out."""
-        pts = sorted(set(points))
-        inside = set(pts)
-        if not pts or len(pts) == self.degree:
-            return self
-        rebased = PermGroup(self.degree, self.generators, base_prefix=pts)
-        found: list[Perm] = []
-        nodes = 0
-        levels = rebased._levels
-
-        def dfs(i: int, prefix: Perm) -> None:
-            nonlocal nodes
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded("setwise stabilizer", budget)
-            if i == len(levels):
-                if all(prefix[x] in inside for x in pts):
-                    found.append(prefix)
-                return
-            level = levels[i]
-            for gamma in sorted(level.transversal):
-                img = prefix[gamma]
-                if (level.point in inside) != (img in inside):
-                    continue
-                dfs(i + 1, pmul(level.transversal[gamma], prefix))
-
-        dfs(0, identity_perm(self.degree))
-        return PermGroup(self.degree, found)
 
     def normalizes(self, other: "PermGroup") -> bool:
         """Do this group's generators conjugate `other` into itself?"""

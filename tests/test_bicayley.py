@@ -123,6 +123,27 @@ def test_full_set_has_swap_certificate():
     assert cert is not None and cert[0].is_regular()
 
 
+def test_certificates_build_only_the_maps_they_use(monkeypatch):
+    """K16,16 = Haar(Q8 x Z2, whole group) has 49,152 part-swapping maps; the
+    first, h_0 <-> h_1, already squares to the identity translation."""
+    import haarcay.bicayley as bicayley
+    H = direct_product([quaternion_group(), cyclic_group(2)])
+    S = (1 << H.order) - 1
+    built = []
+
+    def counting(*args):
+        built.append(args[1:])
+        return swap_vertex_perm(*args)
+
+    monkeypatch.setattr(bicayley, "swap_vertex_perm", counting)
+    group, witness = cayley_certificate_from_swaps(H, S)
+    assert group.is_regular() and witness["x"] == witness["y"] == 0
+    assert len(built) <= 1
+    built.clear()
+    assert vt_certificate(H, S).is_transitive()
+    assert len(built) <= 1
+
+
 def test_normalizer_structure_cyclic6():
     H = cyclic_group(6)
     S = connection_set(H, "1,a")
@@ -262,6 +283,14 @@ def test_part_maps_match_brute_force_scan():
         assert [(m.aut, m.x, m.y, m.perm) for m in part_swap_maps(H, S, auts)] == swap, \
             (H.tag, S)
         assert len(swap) in (0, H.order * len(fix)), (H.tag, S)
+        usable = [(a, x, y) for a, x, y, perm in swap
+                  if pmul(perm, perm) == right_translation_vertex_perm(H, perm[perm[0]])]
+        cert = cayley_certificate_from_swaps(H, S)
+        if usable:
+            a, x, y = usable[0]
+            assert cert[1] == {"kind": "part_swap", "aut": list(a), "x": x, "y": y}, (H.tag, S)
+        else:
+            assert cert is None, (H.tag, S)
         unanchored += not S & 1
         with_swaps += bool(swap)
     assert unanchored >= 8 and 0 < with_swaps < len(instances)

@@ -65,12 +65,11 @@ def test_obstruction_full_quotient_set_is_inconclusive():
     H = miller_moreno_group(5, 1, 2, 3)
     N = subgroup_generated(H, 1 << H.power(H.gen("b"), 4))
     Q, _ = quotient(H, N)
-    report = check_quotient_obstruction(H, N, (1 << Q.order) - 1, verify_blowup=False)
+    report = check_quotient_obstruction(H, N, (1 << Q.order) - 1)
     assert not report.translate_free
     assert report.conclusion == "inconclusive"
-    # the skipped blow-up check is reported as not run, not as passed
-    assert report.blowup_isomorphic is None
-    assert report.to_json_dict()["blowup_isomorphic"] is None
+    assert report.blowup_isomorphic is True
+    assert report.to_json_dict()["blowup_isomorphic"] is True
 
 
 def test_obstruction_m232_confirmed():
@@ -91,10 +90,36 @@ def test_obstruction_raises_when_blowup_check_fails(monkeypatch):
     Q, _ = quotient(H, normal)
     qset = connection_set(Q, "1,a,a3,b,ab,a2b,a4b")
     assert check_quotient_obstruction(H, normal, qset).conclusion == "not_in_bc"
-    monkeypatch.setattr(haarcay.cases, "are_isomorphic", lambda g1, g2: None)
+    lex_product = haarcay.cases.lex_product
+
+    def one_edge_short(g1, g2):
+        blown = lex_product(g1, g2)
+        u, v = blown.edges()[0]
+        blown.rows[u] &= ~(1 << v)
+        blown.rows[v] &= ~(1 << u)
+        return blown
+
+    monkeypatch.setattr(haarcay.cases, "lex_product", one_edge_short)
     with pytest.raises(RuntimeError, match="blow-up consistency check failed") as info:
         check_quotient_obstruction(H, normal, qset)
     assert not isinstance(info.value, AssertionError)
+
+
+def test_obstruction_runs_one_automorphism_search(monkeypatch):
+    """The blow-up is checked through its coset map, so the quotient's
+    vertex-transitivity check is the only automorphism search."""
+    import haarcay.automorphisms as automorphisms
+    calls = []
+    search = automorphisms.automorphism_group
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(automorphisms, "automorphism_group", counting)
+    report = reproduce("obstruct-z7-z4")
+    assert report["pass"] and report["certificate"]["blowup_isomorphic"] is True
+    assert calls == [28]
 
 
 def test_reproduce_under_python_O_matches_normal_run():
@@ -319,3 +344,41 @@ def test_cli_enumerate_reads_budget_env(capsys, monkeypatch):
     assert main(["enumerate", "Q8", "--dedupe"]) == 1
     rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
     assert any(row["verdict"] == "unknown" and "budget_report" in row for row in rows)
+
+
+def test_cli_aut_budget_env_yields_unknown(tmp_path, capsys, monkeypatch):
+    from haarcay.cli import main
+    edges = tmp_path / "q8.txt"
+    assert main(["haar", "Q8", "--set", "1,i,j", "--out", str(edges)]) == 0
+    monkeypatch.setenv("HAARCAY_BUDGET", "5")
+    assert main(["aut", str(edges)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "verdict": "unknown", "vertices": 16,
+        "budget_report": {"stage": "automorphism search", "budget": 5}}
+
+
+def test_tracer_counter_names_resolve_in_haarcay():
+    """perfbench's tracer wraps each ``<module>.<attr>`` of its ``_COUNTERS``
+    with ``getattr`` on the haarcay package, and reads ``len`` of what
+    ``part_swap_maps`` returns; a rename in haarcay must not break it."""
+    import ast
+    from pathlib import Path
+
+    import haarcay
+    from haarcay.bicayley import part_swap_maps
+
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    (counters,) = [node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "_COUNTERS"]
+    names = [ast.literal_eval(key) for key in counters.keys]
+    assert len(names) >= 10
+    for name in names:
+        module_name, attr = name.split(".")
+        assert callable(getattr(getattr(haarcay, module_name, None), attr, None)), name
+    H = quaternion_group()
+    assert isinstance(part_swap_maps(H, connection_set(H, "1,i,j")), list)

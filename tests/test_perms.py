@@ -1,12 +1,9 @@
 import math
 import random
 
-import pytest
-
 from haarcay.graphs import haar_graph, right_translation_vertex_perm
 from haarcay.groups import cyclic_group, dihedral_group, mask_of, quaternion_group
 from haarcay.perms import (
-    BudgetExceeded,
     PermGroup,
     bsgs,
     identity_perm,
@@ -142,19 +139,6 @@ def test_base_is_deterministic_smallest_nonfixed():
     assert G.base[0] == 0
     G2 = bsgs([cyc_perm(6, 2), cyc_perm(6, 4)])  # fixes nothing, moves 0
     assert G2.base == [0]
-
-
-def test_setwise_stabilizer():
-    G = bsgs(sym_gens(5))
-    H = G.setwise_stabilizer([0, 1])
-    assert H.order == math.factorial(2) * math.factorial(3)
-    for g in H.generators:
-        assert {g[0], g[1]} == {0, 1}
-    D6 = bsgs([cyc_perm(6), tuple((-i) % 6 for i in range(6))])
-    B = D6.setwise_stabilizer([0, 3])
-    assert B.order == 4  # rotation by 3 and the axis reflection generate V4
-    with pytest.raises(BudgetExceeded):
-        bsgs(sym_gens(8)).setwise_stabilizer([0, 2, 4], budget=5)
 
 
 def test_normalizes():
