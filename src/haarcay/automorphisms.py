@@ -124,10 +124,12 @@ class AutResult:
 
     @property
     def group(self) -> PermGroup:
-        """Base-and-strong-generating-set view; built on first use (orbits
-        and canonical data never need it)."""
+        """Base-and-strong-generating-set view with vertex 0 as the first
+        base point, so the regular search can use it as it is; built on first
+        use (orbits and canonical data never need it)."""
         if self._group is None:
-            self._group = PermGroup(self.degree, self.generators)
+            self._group = PermGroup(self.degree, self.generators,
+                                    base_prefix=[0] if self.degree else [])
         return self._group
 
 
@@ -280,9 +282,10 @@ def regular_subgroup_search(aut: PermGroup, budget: int = REGULAR_BUDGET,
     order = list(vertex_order) if vertex_order is not None else list(range(n))
     if order[0] != 0:
         raise ValueError("vertex order must start at the base vertex 0")
-    rebased = PermGroup(n, aut.generators, base_prefix=[0])
-    transversal = rebased._levels[0].transversal
-    stab0 = rebased.stabilizer(0)
+    if aut.base[0] != 0:
+        aut = PermGroup(n, aut.generators, base_prefix=[0])
+    transversal = aut._levels[0].transversal
+    stab0 = aut.stabilizer(0)
     nodes = 0
     ident = identity_perm(n)
 

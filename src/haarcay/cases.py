@@ -329,10 +329,22 @@ def verify_certificate(graph: Graph, cert: Certificate) -> bool:
         return PermGroup(graph.n, cert.regular_generators).is_regular()
     if cert.verdict == "non_cayley":
         if cert.orbit_partition is not None:
-            return len(cert.orbit_partition) >= 2 and \
-                sorted(v for o in cert.orbit_partition for v in o) == list(range(graph.n))
+            return len(cert.orbit_partition) >= 2 and all(cert.orbit_partition) and \
+                sorted(v for o in cert.orbit_partition for v in o) == list(range(graph.n)) and \
+                _is_equitable(graph, cert.orbit_partition)
         return cert.exhausted_search
     return False
+
+
+def _is_equitable(graph: Graph, cells: list[list[int]]) -> bool:
+    """Every vertex of a cell has the same number of neighbours in each
+    cell, as in every orbit partition."""
+    masks = [mask_of(cell) for cell in cells]
+    for cell in cells:
+        profiles = {tuple((graph.rows[v] & m).bit_count() for m in masks) for v in cell}
+        if len(profiles) > 1:
+            return False
+    return True
 
 
 def run_case(case: CaseSpec) -> dict:

@@ -6,8 +6,8 @@ Connection sets are comma-separated words over the group's named generators
 ("1,a,a-1,b,ab").  HAARCAY_BUDGET sets the node budgets of aut, status, enumerate.
 
 Exit status is 0 only when every executed check passed, 1 when a check
-failed or a verdict is unknown, and 2 for bad input, which prints one line to
-stderr.
+failed or a verdict is unknown, 2 for bad input, which prints one line to
+stderr, and 141 (128 + SIGPIPE), silently, when the reader closes stdout.
 """
 
 from __future__ import annotations
@@ -224,7 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout: stop quietly, as a program killed by
+        # SIGPIPE would, and keep the flush at exit from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:  # bad input: GroupConstructionError, bad JSON, bad words
         print(f"haarcay: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,19 @@ breadth-first search with generators in a fixed order, and no randomization
 is used anywhere, so identical generator lists always produce identical
 bases, transversals and certificates.
 
+It never redoes a sift.  Each level keeps a cursor over its Schreier pairs
+(beta, g), taken in sorted-beta order; coming back to a level whose
+generators have not changed, the construction resumes after the pair that
+last gave a new strong generator instead of at the first beta, since the
+pairs before it still sift to the identity through the grown deeper levels.
+Rebuilding a level's transversal resets its cursor.  Each level also stores
+the inverse of every transversal element, so sifting inverts nothing, and a
+pair with t_beta g = t_(beta g) is the identity and is not sifted at all.
+The base, the level generators and the transversals (in insertion order) are
+exactly those of the construction that re-sifts every pair, so ``elements``
+and everything built on it keep their order (Holt, Eick & O'Brien, Handbook
+of Computational Group Theory, 2005, ch. 4).
+
 Composition convention: ``pmul(p, q)`` applies p first, then q
 (image-style actions, x^(pq) = (x^p)^q).
 """
@@ -44,7 +57,7 @@ def pinv(p: Perm) -> Perm:
 
 
 def is_identity(p: Perm) -> bool:
-    return all(i == j for i, j in enumerate(p))
+    return p == tuple(range(len(p)))
 
 
 def perm_order(p: Perm) -> int:
@@ -65,12 +78,19 @@ def perm_order(p: Perm) -> int:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal")
+    """One base point with its strong generators, its orbit transversal, the
+    inverse of every transversal element, the sorted orbit and a cursor: the
+    index, in (beta, generator) order, of the next Schreier pair to sift."""
+
+    __slots__ = ("point", "gens", "transversal", "inverses", "orbit", "cursor")
 
     def __init__(self, point: int):
         self.point = point
         self.gens: list[Perm] = []
         self.transversal: dict[int, Perm] = {}
+        self.inverses: dict[int, Perm] = {}
+        self.orbit: list[int] = []
+        self.cursor = 0
 
 
 class PermGroup:
@@ -80,17 +100,19 @@ class PermGroup:
     def __init__(self, degree: int, generators: Iterable[Perm] = (),
                  base_prefix: Sequence[int] = ()):
         self.degree = degree
+        self._identity = identity_perm(degree)
         gens = []
         seen = set()
         for g in generators:
             g = tuple(g)
             if len(g) != degree:
                 raise ValueError("generator degree mismatch")
-            if not is_identity(g) and g not in seen:
+            if g != self._identity and g not in seen:
                 seen.add(g)
                 gens.append(g)
         self.generators: list[Perm] = gens
         self._levels: list[_Level] = []
+        self._gen_inverses: dict[Perm, Perm] = {}
         self._build(base_prefix)
 
     # -- construction ---------------------------------------------------------
@@ -104,6 +126,7 @@ class PermGroup:
             level.gens = [g for g in self.generators
                           if all(g[self._levels[j].point] == self._levels[j].point
                                  for j in range(i))]
+            self._orbit_transversal(level)
         i = len(self._levels) - 1
         while i >= 0:
             jump = self._process_level(i)
@@ -119,42 +142,76 @@ class PermGroup:
                 return
 
     def _orbit_transversal(self, level: _Level) -> None:
-        trans = {level.point: identity_perm(self.degree)}
+        """Rebuild the level by breadth-first search over its generators in
+        list order; t_b = t_a g gives t_b^-1 = g^-1 t_a^-1, so only the
+        generators are ever inverted.  Resets the cursor."""
+        gen_inverses = self._gen_inverses
+        pairs = []
+        for g in level.gens:
+            if g not in gen_inverses:
+                gen_inverses[g] = pinv(g)
+            pairs.append((g, gen_inverses[g]))
+        trans = {level.point: self._identity}
+        inverses = {level.point: self._identity}
         queue = [level.point]
-        while queue:
-            a = queue.pop(0)
-            ta = trans[a]
-            for g in level.gens:
+        for a in queue:
+            ta, ia = trans[a], inverses[a]
+            for g, gi in pairs:
                 b = g[a]
                 if b not in trans:
                     trans[b] = pmul(ta, g)
+                    inverses[b] = pmul(gi, ia)
                     queue.append(b)
         level.transversal = trans
+        level.inverses = inverses
+        level.orbit = sorted(trans)
+        level.cursor = 0
 
     def _process_level(self, i: int) -> Optional[int]:
         """Close level i under Schreier generators.  Returns None when the
         level is complete, else the index of the deepest level that received
-        a new strong generator (the driver resumes there)."""
+        a new strong generator (the driver resumes there).
+
+        Sifting resumes at the cursor: every earlier pair sifted to the
+        identity through the deeper levels, which were then a complete BSGS
+        of a group that has only grown since, so it still does.  A pair with
+        t_beta g = t_(beta g) is the identity and is not sifted."""
         level = self._levels[i]
-        self._orbit_transversal(level)
-        for beta in sorted(level.transversal):
-            t_beta = level.transversal[beta]
-            for g in level.gens:
-                t_img = level.transversal[g[beta]]
-                schreier = pmul(pmul(t_beta, g), pinv(t_img))
-                residue, depth = self._sift_from(schreier, i + 1)
-                if not is_identity(residue):
+        trans, inverses, gens = level.transversal, level.inverses, level.gens
+        ngens = len(gens)
+        if not ngens:
+            return None
+        ident = self._identity
+        first_beta, first_gen = divmod(level.cursor, ngens)
+        for bi in range(first_beta, len(level.orbit)):
+            beta = level.orbit[bi]
+            t_beta = trans[beta]
+            for gi in range(first_gen, ngens):
+                g = gens[gi]
+                image = g[beta]
+                product = pmul(t_beta, g)
+                if product == trans[image]:
+                    continue
+                residue, depth = self._sift_from(pmul(product, inverses[image]), i + 1)
+                if residue != ident:
+                    level.cursor = bi * ngens + gi + 1
                     return self._add_strong_generator(residue, i + 1, depth)
+            first_gen = 0
+        level.cursor = len(level.orbit) * ngens
         return None
 
     def _sift_from(self, p: Perm, start: int) -> tuple[Perm, int]:
-        for j in range(start, len(self._levels)):
-            level = self._levels[j]
+        levels = self._levels
+        for j in range(start, len(levels)):
+            level = levels[j]
             gamma = p[level.point]
-            if gamma not in level.transversal:
+            if gamma == level.point:
+                continue
+            inverse = level.inverses.get(gamma)
+            if inverse is None:
                 return p, j
-            p = pmul(p, pinv(level.transversal[gamma]))
-        return p, len(self._levels)
+            p = pmul(p, inverse)
+        return p, len(levels)
 
     def _add_strong_generator(self, g: Perm, first: int, depth: int) -> int:
         if depth == len(self._levels):
@@ -186,7 +243,7 @@ class PermGroup:
         return residue
 
     def contains(self, p: Perm) -> bool:
-        return len(p) == self.degree and is_identity(self.sift(p))
+        return len(p) == self.degree and self.sift(p) == self._identity
 
     def orbits(self) -> list[list[int]]:
         parent = list(range(self.degree))
@@ -210,8 +267,7 @@ class PermGroup:
     def orbit_of(self, v: int) -> list[int]:
         seen = {v}
         queue = [v]
-        while queue:
-            a = queue.pop(0)
+        for a in queue:
             for g in self.generators:
                 b = g[a]
                 if b not in seen:

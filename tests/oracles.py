@@ -118,3 +118,149 @@ def brute_force_part_maps(H: GroupTable, S: int, auts) -> tuple[list, list]:
                 if preserves(images):
                     swap.append((a, x, y, images))
     return fix, swap
+
+
+# -- reference Schreier-Sims ---------------------------------------------------
+# The textbook construction as it stood before the sift cursor, the stored
+# transversal inverses and the skipped trivial Schreier generators: every
+# return to a level rebuilds its transversal and re-sifts every (beta, g)
+# pair from the first.  Slow but plainly correct; the production PermGroup
+# must build exactly the same base, level generators and transversals.
+
+def _ref_pmul(p, q):
+    return tuple(map(q.__getitem__, p))
+
+
+def _ref_pinv(p):
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def _ref_is_identity(p):
+    return all(i == j for i, j in enumerate(p))
+
+
+class _RefLevel:
+    __slots__ = ("point", "gens", "transversal")
+
+    def __init__(self, point):
+        self.point = point
+        self.gens = []
+        self.transversal = {}
+
+
+class ReferencePermGroup:
+    def __init__(self, degree, generators=(), base_prefix=()):
+        self.degree = degree
+        gens = []
+        seen = set()
+        for g in generators:
+            g = tuple(g)
+            if len(g) != degree:
+                raise ValueError("generator degree mismatch")
+            if not _ref_is_identity(g) and g not in seen:
+                seen.add(g)
+                gens.append(g)
+        self.generators = gens
+        self._levels = []
+        self._build(base_prefix)
+
+    def _build(self, base_prefix):
+        for b in base_prefix:
+            self._levels.append(_RefLevel(b))
+        for g in self.generators:
+            self._ensure_base_covers(g)
+        for i, level in enumerate(self._levels):
+            level.gens = [g for g in self.generators
+                          if all(g[self._levels[j].point] == self._levels[j].point
+                                 for j in range(i))]
+        i = len(self._levels) - 1
+        while i >= 0:
+            jump = self._process_level(i)
+            i = i - 1 if jump is None else jump
+
+    def _ensure_base_covers(self, g):
+        for level in self._levels:
+            if g[level.point] != level.point:
+                return
+        for x in range(self.degree):
+            if g[x] != x:
+                self._levels.append(_RefLevel(x))
+                return
+
+    def _orbit_transversal(self, level):
+        trans = {level.point: tuple(range(self.degree))}
+        queue = [level.point]
+        while queue:
+            a = queue.pop(0)
+            ta = trans[a]
+            for g in level.gens:
+                b = g[a]
+                if b not in trans:
+                    trans[b] = _ref_pmul(ta, g)
+                    queue.append(b)
+        level.transversal = trans
+
+    def _process_level(self, i):
+        level = self._levels[i]
+        self._orbit_transversal(level)
+        for beta in sorted(level.transversal):
+            t_beta = level.transversal[beta]
+            for g in level.gens:
+                t_img = level.transversal[g[beta]]
+                schreier = _ref_pmul(_ref_pmul(t_beta, g), _ref_pinv(t_img))
+                residue, depth = self._sift_from(schreier, i + 1)
+                if not _ref_is_identity(residue):
+                    return self._add_strong_generator(residue, i + 1, depth)
+        return None
+
+    def _sift_from(self, p, start):
+        for j in range(start, len(self._levels)):
+            level = self._levels[j]
+            gamma = p[level.point]
+            if gamma not in level.transversal:
+                return p, j
+            p = _ref_pmul(p, _ref_pinv(level.transversal[gamma]))
+        return p, len(self._levels)
+
+    def _add_strong_generator(self, g, first, depth):
+        if depth == len(self._levels):
+            for x in range(self.degree):
+                if g[x] != x:
+                    self._levels.append(_RefLevel(x))
+                    break
+            depth = len(self._levels) - 1
+        for j in range(first, depth + 1):
+            self._levels[j].gens.append(g)
+            self._orbit_transversal(self._levels[j])
+        return depth
+
+    @property
+    def base(self):
+        return [level.point for level in self._levels]
+
+    def stabilizer(self, v):
+        rebased = self if (self._levels and self._levels[0].point == v) else \
+            ReferencePermGroup(self.degree, self.generators, base_prefix=[v])
+        if not rebased._levels:
+            return ReferencePermGroup(self.degree)
+        seen = set()
+        gens = []
+        for level in rebased._levels:
+            for g in level.gens:
+                if g[v] == v and g not in seen:
+                    seen.add(g)
+                    gens.append(g)
+        return ReferencePermGroup(self.degree, gens)
+
+    def elements(self):
+        def walk(i, prefix):
+            if i < 0:
+                yield prefix
+                return
+            for t in self._levels[i].transversal.values():
+                yield from walk(i - 1, _ref_pmul(prefix, t))
+
+        return walk(len(self._levels) - 1, tuple(range(self.degree)))

@@ -223,6 +223,24 @@ def test_cayley_status_runs_one_automorphism_search(monkeypatch):
     assert len(calls) == 1
 
 
+def test_generic_cayley_status_builds_three_perm_groups(monkeypatch):
+    """Aut, the point stabilizer and the regular group found: the regular
+    search reuses Aut's BSGS, whose base already starts at vertex 0."""
+    built = []
+    init = PermGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting)
+    for g in (complete_bipartite(4, 4), cycle_graph(24), disjoint_union([cycle_graph(6)] * 4)):
+        built.clear()
+        cert = cayley_status(g)
+        assert cert.verdict == "cayley" and cert.swap_witness is None
+        assert built == [g.n] * 3
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("normalizer_structure called")
 

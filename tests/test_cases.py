@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from haarcay.automorphisms import cayley_status
+from haarcay.automorphisms import Certificate, cayley_status
 from haarcay.bicayley import BiCayleyHints
 from haarcay.cases import (
     CASE_INDEX,
@@ -18,7 +18,7 @@ from haarcay.cases import (
     translate_free,
     verify_certificate,
 )
-from haarcay.graphs import haar_graph
+from haarcay.graphs import cycle_graph, haar_graph
 from haarcay.groups import (
     GroupTable,
     connection_set,
@@ -215,6 +215,27 @@ def test_verify_certificate_rejects_tampering():
     assert not verify_certificate(graph, cert)
 
 
+def test_verify_certificate_rejects_non_equitable_partition():
+    """An orbit partition is equitable, so a made-up intransitivity witness
+    that is not is rejected; the check is necessary, not sufficient."""
+    c5 = cycle_graph(5)
+    for cells in ([[0], [1, 2, 3, 4]], [[0, 1, 2, 3, 4], []], [[0, 1, 2, 3, 4]]):
+        assert not verify_certificate(c5, Certificate("non_cayley", orbit_partition=cells))
+    # equitable but splitting a true orbit: C6 is vertex-transitive
+    assert verify_certificate(cycle_graph(6),
+                              Certificate("non_cayley", orbit_partition=[[0, 2, 4], [1, 3, 5]]))
+    # every true orbit partition passes; 300-node budgets keep this fast and
+    # still decide the 12 non-Cayley classes, all by their orbits
+    seen = 0
+    for H in constructor_catalog(12):
+        for S, cert in enumerate_haar(H, ir_budget=300, regular_budget=300):
+            if cert.verdict == "non_cayley":
+                graph, _ = haar_graph(H, S)
+                assert verify_certificate(graph, cert), (H.tag, S)
+                seen += 1
+    assert seen >= 12
+
+
 def test_reproduce_all_deterministic_modulo_timing():
     fast = ["m3111-not-vt", "m2211-not-vt", "d14-not-vt", "z3-z4-not-vt",
             "a4-not-vt", "q8-all-connected-cayley", "dihedral-bc-6"]
@@ -359,6 +380,31 @@ def test_cli_aut_budget_env_yields_unknown(tmp_path, capsys, monkeypatch):
     assert json.loads(lines[0]) == {
         "verdict": "unknown", "vertices": 16,
         "budget_report": {"stage": "automorphism search", "budget": 5}}
+
+
+def test_cli_closed_pipe_exits_141_silently():
+    """A reader that stops after one line is not bad input: no message, and
+    the exit status a SIGPIPE kill would give."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import haarcay
+    env = dict(os.environ)
+    src = str(Path(haarcay.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "haarcay.cli", "enumerate", "Dihedral(6)"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert json.loads(proc.stdout.readline())["verdict"]
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_tracer_counter_names_resolve_in_haarcay():

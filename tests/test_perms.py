@@ -1,8 +1,28 @@
+import itertools
 import math
 import random
 
-from haarcay.graphs import haar_graph, right_translation_vertex_perm
-from haarcay.groups import cyclic_group, dihedral_group, mask_of, quaternion_group
+from haarcay import perms
+from haarcay.automorphisms import automorphism_group
+from haarcay.cases import CASE_INDEX, constructor_catalog
+from haarcay.graphs import (
+    cayley_right_translation,
+    complete_bipartite,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+    haar_graph,
+    lex_product,
+    right_translation_vertex_perm,
+)
+from haarcay.groups import (
+    connection_set,
+    cyclic_group,
+    dihedral_group,
+    group_from_spec,
+    mask_of,
+    quaternion_group,
+)
 from haarcay.perms import (
     PermGroup,
     bsgs,
@@ -12,6 +32,9 @@ from haarcay.perms import (
     pinv,
     pmul,
 )
+
+from oracles import ReferencePermGroup
+from test_automorphisms import petersen
 
 
 def sym_gens(n):
@@ -158,3 +181,99 @@ def test_semiregular_iff_trivial_point_stabilizers():
     assert G.is_semiregular()
     for v in range(G.degree):
         assert G.stabilizer(v).order == 1
+
+
+# -- the construction against the reference Schreier-Sims ----------------------
+
+def _ir_generator_sets():
+    """(name, degree, generators) from the IR search on graphs with large
+    or awkward automorphism groups."""
+    k88_minus = complete_bipartite(8, 8)
+    for i in range(8):
+        k88_minus.rows[i] &= ~(1 << (8 + i))
+        k88_minus.rows[8 + i] &= ~(1 << i)
+    case = CASE_INDEX["z3-z4-not-vt"]
+    H = group_from_spec(case.group)
+    z3z4, _ = haar_graph(H, connection_set(H, case.words))
+    graphs = [("K6,6", complete_bipartite(6, 6)), ("K8,8-M", k88_minus),
+              ("E8", empty_graph(8)), ("4C6", disjoint_union([cycle_graph(6)] * 4)),
+              ("Petersen", petersen()), ("z3-z4[E2]", lex_product(z3z4, empty_graph(2)))]
+    return [(name, g.n, automorphism_group(g).generators) for name, g in graphs]
+
+
+def _random_generator_sets(count=200, seed=2024):
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randrange(2, 14)
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            p = list(range(n))
+            rng.shuffle(p)
+            gens.append(tuple(p))
+        out.append((f"random{k}", n, gens))
+    return out
+
+
+def test_bsgs_identical_to_reference_construction():
+    """Same base, same level generators, same transversals in the same
+    insertion order, hence the same elements() order."""
+    for name, n, gens in _ir_generator_sets() + _random_generator_sets():
+        for prefix in ((), (0,)):
+            new = PermGroup(n, gens, base_prefix=prefix)
+            ref = ReferencePermGroup(n, gens, base_prefix=prefix)
+            assert new.base == ref.base, (name, prefix)
+            for mine, theirs in zip(new._levels, ref._levels):
+                assert mine.gens == theirs.gens, (name, prefix)
+                assert list(mine.transversal.items()) == list(theirs.transversal.items()), \
+                    (name, prefix)
+            assert list(itertools.islice(new.stabilizer(0).elements(), 500)) == \
+                list(itertools.islice(ref.stabilizer(0).elements(), 500)), (name, prefix)
+
+
+# -- against sympy's PermutationGroup ------------------------------------------
+
+def test_agrees_with_sympy():
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    rng = random.Random(31)
+    inputs = [(H.tag, H.order, [cayley_right_translation(H, e) for _, e in H.gens])
+              for H in constructor_catalog(16)]
+    inputs += _ir_generator_sets() + _random_generator_sets()
+    for name, n, gens in inputs:
+        G = PermGroup(n, gens)
+        S = PermutationGroup([Permutation(list(g)) for g in gens] or [Permutation(n - 1)])
+        assert G.order == S.order(), name
+        assert sorted(G.orbits()) == sorted(sorted(o) for o in S.orbits()), name
+        assert G.stabilizer(0).order == S.stabilizer(0).order(), name
+        for _ in range(5):
+            p = identity_perm(n)
+            for _ in range(rng.randrange(1, 8)):
+                p = pmul(p, rng.choice(gens))
+            assert G.contains(p) and S.contains(Permutation(list(p))), name
+            q = list(range(n))
+            rng.shuffle(q)
+            assert G.contains(tuple(q)) == S.contains(Permutation(q)), name
+
+
+# -- work counters -------------------------------------------------------------
+
+def test_symmetric_group_construction_work(monkeypatch):
+    """S12 from 11 adjacent transpositions: the cursor, the stored inverses
+    and the skipped trivial pairs keep the products and inversions down
+    (a construction that re-sifts every pair makes 5,500 and 4,862)."""
+    counts = {"pmul": 0, "pinv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(perms, "pmul", counted("pmul", perms.pmul))
+    monkeypatch.setattr(perms, "pinv", counted("pinv", perms.pinv))
+    n = 12
+    gens = [tuple(list(range(i)) + [i + 1, i] + list(range(i + 2, n))) for i in range(n - 1)]
+    G = PermGroup(n, gens)
+    assert G.order == math.factorial(n)
+    assert counts["pmul"] <= 1600 and counts["pinv"] <= 100, counts
