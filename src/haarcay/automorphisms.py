@@ -4,12 +4,18 @@ through canonical forms, and Cayley-ness certificates.
 The search is a partition-backtrack in the McKay style, simplified for desk
 scale: start from the uniform colouring (never from a known bipartition, so
 part-swapping automorphisms stay discoverable), refine to an equitable
-partition with a splitter worklist, branch on the lowest-index vertex of the
-first smallest non-singleton cell, and prune sibling branches that a
-discovered automorphism fixing the branch prefix maps onto an explored one.
-Automorphisms are read off leaf pairs whose relabelled graphs coincide; every
-emitted generator is verified edge-preserving before use.  The minimal leaf
-key doubles as a canonical form.
+partition with a splitter worklist, branch on the first smallest
+non-singleton cell, and prune sibling branches that a discovered
+automorphism fixing the branch prefix maps onto an explored one.  The tree
+is walked with an explicit stack, one frame per branching node on the
+current path, so its depth is bounded by the vertex count, not by Python's
+recursion limit.  Automorphisms are read off leaves whose relabelled graph
+equals that of the first or the best leaf; every new generator is verified
+edge-preserving before use.  Such an automorphism fixes the prefix the two
+paths share and maps the finished sibling subtree below it onto the current
+one, so the search jumps back to that common ancestor (McKay & Piperno,
+"Practical graph isomorphism, II", 2014).  The minimal leaf key doubles as
+a canonical form.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .bicayley import (
     BiCayleyHints,
@@ -30,27 +36,6 @@ from .perms import BudgetExceeded, Perm, PermGroup, identity_perm, is_identity, 
 
 IR_BUDGET = 10 ** 7
 REGULAR_BUDGET = 10 ** 7
-
-
-def _twin_swaps(graph: Graph) -> list[Perm]:
-    """Transpositions of twin vertices (equal open or closed neighbourhoods)
-    are always automorphisms; seeding them collapses the blow-up blocks of
-    lexicographic-product-like graphs."""
-    open_classes: dict[int, list[int]] = {}
-    closed_classes: dict[int, list[int]] = {}
-    for v in range(graph.n):
-        open_classes.setdefault(graph.rows[v], []).append(v)
-        closed_classes.setdefault(graph.rows[v] | (1 << v), []).append(v)
-    ident = list(range(graph.n))
-    out = []
-    for classes in (open_classes, closed_classes):
-        for members in classes.values():
-            rep = members[0]
-            for v in members[1:]:
-                p = list(ident)
-                p[rep], p[v] = v, rep
-                out.append(tuple(p))
-    return out
 
 
 def _refine(rows: Sequence[int], cells: list[list[int]],
@@ -89,7 +74,7 @@ class _OrbitCache:
     Updates are incremental: only generators added since the last call are
     inspected (the prefix is fixed for the cache's lifetime)."""
 
-    def __init__(self, n: int, prefix: tuple[int, ...]):
+    def __init__(self, n: int, prefix: Sequence[int]):
         self.n = n
         self.prefix = prefix
         self.gen_count = 0
@@ -105,10 +90,11 @@ class _OrbitCache:
     def update(self, gens: list[Perm]) -> None:
         for g in gens[self.gen_count:]:
             if all(g[x] == x for x in self.prefix):
-                for x in range(self.n):
-                    rx, ry = self.find(x), self.find(g[x])
-                    if rx != ry:
-                        self.parent[ry] = rx
+                for x, y in enumerate(g):
+                    if x != y:
+                        rx, ry = self.find(x), self.find(y)
+                        if rx != ry:
+                            self.parent[ry] = rx
         self.gen_count = len(gens)
 
 
@@ -133,28 +119,52 @@ class AutResult:
         return self._group
 
 
+@dataclass
+class _Frame:
+    """A branching node on the current path: its equitable cells, the cell it
+    branches on, the children left to try and those explored (the last is on
+    the path), and the orbits of found automorphisms fixing its prefix."""
+    cells: list[list[int]]
+    target: int
+    children: Iterator[int]
+    orbits: _OrbitCache
+    explored: list[int] = field(default_factory=list)
+
+
 class _AutSearch:
     def __init__(self, graph: Graph, seeds: Sequence[Perm], budget: int):
         self.graph = graph
-        self.rows = graph.rows
         self.n = graph.n
         self.budget = budget
         self.nodes = 0
         self.gens: list[Perm] = []
-        for s in list(seeds) + _twin_swaps(graph):
+        for s in seeds:
             s = tuple(s)
             if not is_identity(s) and s not in self.gens:
                 if not graph.is_automorphism(s):
                     raise ValueError("seed permutation is not an automorphism")
                 self.gens.append(s)
-        self.first: Optional[tuple[Perm, tuple]] = None
-        self.best: Optional[tuple[Perm, tuple]] = None
+        self.first: Optional[tuple[Perm, tuple, list[int]]] = None
+        self.best: Optional[tuple[Perm, tuple, list[int]]] = None
 
     def run(self) -> AutResult:
         if self.n == 0:
             return AutResult(0, [], [], (), (), 0)
-        cells = _refine(self.rows, [list(range(self.n))], [(1 << self.n) - 1])
-        self._search(cells, ())
+        cells = _refine(self.graph.rows, [list(range(self.n))], [(1 << self.n) - 1])
+        stack: list[_Frame] = []
+        while cells is not None:
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise BudgetExceeded("automorphism search", self.budget)
+            _, target = min(((len(c), i) for i, c in enumerate(cells) if len(c) > 1),
+                            default=(0, -1))
+            if target < 0:
+                self._leaf(cells, stack)
+            else:
+                prefix = [f.explored[-1] for f in stack]
+                stack.append(_Frame(cells, target, iter(cells[target]),
+                                    _OrbitCache(self.n, prefix)))
+            cells = self._next_child(stack)
         root = _OrbitCache(self.n, ())
         root.update(self.gens)
         buckets: dict[int, list[int]] = {}
@@ -164,68 +174,57 @@ class _AutSearch:
         return AutResult(self.n, list(self.gens), orbits,
                          self.best[0], self.best[1], self.nodes)
 
-    def _search(self, cells: list[list[int]], prefix: tuple[int, ...]) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceeded("automorphism search", self.budget)
-        target = -1
-        size = self.n + 1
-        for idx, cell in enumerate(cells):
-            if 1 < len(cell) < size:
-                target = idx
-                size = len(cell)
-        if target < 0:
-            self._leaf(cells)
-            return
-        cell = cells[target]
-        orbit_cache = _OrbitCache(self.n, prefix)
-        explored: list[int] = []
-        for v in cell:
-            orbit_cache.update(self.gens)
-            if any(orbit_cache.find(v) == orbit_cache.find(u) for u in explored):
-                continue
-            child = cells[:target] + [[v], [u for u in cell if u != v]] + cells[target + 1:]
-            child = _refine(self.rows, child,
-                            [1 << v, mask_of(u for u in cell if u != v)])
-            self._search(child, prefix + (v,))
-            explored.append(v)
+    def _next_child(self, stack: list[_Frame]) -> Optional[list[list[int]]]:
+        """Cells of the next unpruned child of the deepest unfinished frame,
+        popping finished frames; None once the stack is empty."""
+        while stack:
+            top = stack[-1]
+            for v in top.children:
+                if top.explored:
+                    top.orbits.update(self.gens)
+                    if any(top.orbits.find(v) == top.orbits.find(u) for u in top.explored):
+                        continue
+                top.explored.append(v)
+                rest = [u for u in top.cells[top.target] if u != v]
+                child = top.cells[:top.target] + [[v], rest] + top.cells[top.target + 1:]
+                return _refine(self.graph.rows, child, [1 << v, mask_of(rest)])
+            stack.pop()
+        return None
 
-    def _leaf(self, cells: list[list[int]]) -> None:
-        order = [c[0] for c in cells]
+    def _leaf(self, cells: list[list[int]], stack: list[_Frame]) -> None:
+        """Compare the leaf with the first and the best leaf.  An equal key
+        gives an automorphism that fixes the c vertices both paths share and
+        maps the finished sibling subtree at depth c onto the current one, so
+        the search jumps back to depth c."""
+        path = [f.explored[-1] for f in stack]
         pos = [0] * self.n
-        for idx, v in enumerate(order):
-            pos[v] = idx
-        key_rows = []
-        for idx in range(self.n):
-            row = 0
-            w = self.rows[order[idx]]
-            while w:
-                low = w & -w
-                row |= 1 << pos[low.bit_length() - 1]
-                w ^= low
-            key_rows.append(row)
-        key = tuple(key_rows)
+        for idx, cell in enumerate(cells):
+            pos[cell[0]] = idx
         perm = tuple(pos)
+        key = tuple(self.graph.relabel(perm).rows)
         if self.first is None:
-            self.first = (perm, key)
-            self.best = (perm, key)
+            self.first = self.best = (perm, key, path)
             return
-        for other_perm, other_key in (self.first, self.best):
+        for other_perm, other_key, other_path in (self.first, self.best):
             if key == other_key:
                 g = pmul(perm, pinv(other_perm))
-                if not is_identity(g) and g not in self.gens:
-                    if self.graph.is_automorphism(g):
-                        self.gens.append(g)
-                break
+                if g not in self.gens:
+                    if not self.graph.is_automorphism(g):
+                        raise RuntimeError("equal leaf keys but no automorphism")
+                    self.gens.append(g)
+                c = next(i for i, (u, v) in enumerate(zip(path, other_path)) if u != v)
+                del stack[c + 1:]
+                return
         if key < self.best[1]:
-            self.best = (perm, key)
+            self.best = (perm, key, path)
 
 
 def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
                        budget: int = IR_BUDGET) -> AutResult:
     """Full automorphism group with orbit partition and canonical labelling.
-    ``seeds`` may carry already-known automorphisms (they are verified); they
-    only speed up pruning and never change the result."""
+    ``seeds`` may carry already-known automorphisms.  They are verified and
+    join ``generators``, and may prune more of the search, but they change
+    neither the orbits, nor the group, nor the canonical key."""
     return _AutSearch(graph, seeds, budget).run()
 
 
@@ -412,14 +411,14 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
         return Certificate("unknown", budget_report={"stage": exc.what, "budget": exc.budget},
                            millis=(time.perf_counter() - t0) * 1000)
     if len(aut.orbits) > 1:
-        return Certificate("non_cayley", orbit_partition=aut.orbits,
+        return Certificate("non_cayley", orbit_partition=aut.orbits, nodes=aut.nodes,
                            millis=(time.perf_counter() - t0) * 1000)
     if hints is not None:
         swap = cayley_certificate_from_swaps(hints.table, hints.spokes)
         if swap is not None:
             group, witness = swap
             return Certificate("cayley", regular_generators=list(group.generators),
-                               swap_witness=witness,
+                               swap_witness=witness, nodes=aut.nodes,
                                millis=(time.perf_counter() - t0) * 1000)
     outcome = regular_subgroup_search(aut.group, budget=regular_budget,
                                       vertex_order=_bfs_vertex_order(graph))

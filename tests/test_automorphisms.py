@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from haarcay.automorphisms import (
     Certificate,
     _bfs_vertex_order,
@@ -12,6 +14,7 @@ from haarcay.automorphisms import (
 )
 from haarcay import bicayley
 from haarcay.bicayley import BiCayleyHints, normalizer_structure, right_translation_group_perms
+from haarcay.cases import CASE_INDEX
 from haarcay.graphs import (
     Graph,
     cayley_graph,
@@ -28,12 +31,15 @@ from haarcay.groups import (
     connection_set,
     cyclic_group,
     dihedral_group,
+    direct_product,
+    group_from_spec,
     mask_of,
+    miller_moreno_group,
     mp1_group,
     mp_group,
     quaternion_group,
 )
-from haarcay.perms import PermGroup, bsgs
+from haarcay.perms import BudgetExceeded, PermGroup, bsgs
 
 from oracles import brute_force_graph_automorphisms
 
@@ -135,15 +141,110 @@ def test_vertex_transitive_with_and_without_seeds_agree():
     assert is_vertex_transitive(g2)[0] == is_vertex_transitive(g2, seeds2)[0] == False
 
 
+def _twin_rich_graphs():
+    case = CASE_INDEX["z3-z4-not-vt"]
+    H = group_from_spec(case.group)
+    z3z4, _ = haar_graph(H, connection_set(H, case.words))
+    return [complete_bipartite(8, 8), empty_graph(8), disjoint_union([cycle_graph(6)] * 4),
+            lex_product(z3z4, empty_graph(2))]
+
+
 def test_canonical_form_invariant_under_relabeling():
     rng = random.Random(99)
-    base = random_graph(9, 0.4, rng)
-    key0 = automorphism_group(base).canonical_key
-    for _ in range(50):
-        perm = list(range(9))
+    bases = [(random_graph(9, 0.4, rng), 50)] + [(g, 8) for g in _twin_rich_graphs()]
+    for base, copies in bases:
+        key0 = automorphism_group(base).canonical_key
+        for _ in range(copies):
+            perm = list(range(base.n))
+            rng.shuffle(perm)
+            key = automorphism_group(base.relabel(perm)).canonical_key
+            assert key == key0
+
+
+def test_deep_search_ends_on_budget_not_recursion_limit():
+    # the first path of E1100 individualizes 1099 vertices, one per level
+    with pytest.raises(BudgetExceeded):
+        automorphism_group(empty_graph(1100), budget=1200)
+
+
+@pytest.mark.parametrize("H", [direct_product([quaternion_group(), cyclic_group(2)]),
+                               miller_moreno_group(2, 2, 3, 1)],
+                         ids=["Q8xZ2", "MillerMoreno(2,2,3,1)"])
+def test_jump_back_keeps_kn_n_minus_matching_small(H):
+    # K_{n,n} minus a perfect matching; a search that does not jump back to
+    # the common ancestor needs over 3,000 nodes here when e is not 0
+    n = H.order
+    for e in (0, 1, 5):
+        S = mask_of(range(n)) ^ (1 << e)
+        g, _ = haar_graph(H, S)
+        for seeds in ((), right_translation_group_perms(H)):
+            res = automorphism_group(g, seeds)
+            assert res.nodes <= 300
+            assert len(res.orbits) == 1
+            assert res.group.order == 2 * math.factorial(n)
+        cert = cayley_status(g, hints=BiCayleyHints(H, S))
+        assert cert.verdict == "cayley"
+
+
+def test_certificate_nodes_count_the_automorphism_search():
+    H = mp1_group(3, 1, 1)
+    S = connection_set(H, "1,a,a-1,b,ab")
+    g, _ = haar_graph(H, S)
+    cert = cayley_status(g, hints=BiCayleyHints(H, S))
+    assert cert.verdict == "non_cayley" and cert.orbit_partition is not None
+    assert cert.nodes == automorphism_group(g, right_translation_group_perms(H)).nodes > 0
+    H = quaternion_group()
+    S = connection_set(H, "1,i,j")
+    g, _ = haar_graph(H, S)
+    cert = cayley_status(g, hints=BiCayleyHints(H, S))
+    assert cert.verdict == "cayley" and cert.swap_witness is not None
+    assert cert.nodes == automorphism_group(g, right_translation_group_perms(H)).nodes > 0
+
+
+def _degree_preserving_rewire(g, rng, swaps):
+    """A copy of g with random double-edge swaps, same degree sequence."""
+    h = Graph(g.n, list(g.rows))
+    for _ in range(swaps):
+        edges = [(u, v) for u in range(h.n) for v in range(u + 1, h.n) if (h.rows[u] >> v) & 1]
+        if len(edges) < 2:
+            break
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) < 4 or (h.rows[a] >> d) & 1 or (h.rows[c] >> b) & 1:
+            continue
+        for x, y in ((a, b), (c, d)):
+            h.rows[x] &= ~(1 << y)
+            h.rows[y] &= ~(1 << x)
+        for x, y in ((a, d), (c, b)):
+            h.rows[x] |= 1 << y
+            h.rows[y] |= 1 << x
+    return h
+
+
+def _to_networkx(g):
+    import networkx as nx
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from((u, v) for u in range(g.n) for v in range(u + 1, g.n) if (g.rows[u] >> v) & 1)
+    return out
+
+
+def test_are_isomorphic_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2026)
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randrange(1, 13)
+        g = random_graph(n, rng.choice([0.2, 0.35, 0.5, 0.65]), rng)
+        perm = list(range(n))
         rng.shuffle(perm)
-        key = automorphism_group(base.relabel(perm)).canonical_key
-        assert key == key0
+        for h in (g.relabel(perm), _degree_preserving_rewire(g, rng, 3)):
+            mapping = are_isomorphic(g, h)
+            expected = nx.vf2pp_is_isomorphic(_to_networkx(g), _to_networkx(h))
+            assert (mapping is not None) == expected
+            if mapping is not None:
+                assert g.relabel(mapping) == h
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_are_isomorphic():

@@ -382,6 +382,21 @@ def test_cli_aut_budget_env_yields_unknown(tmp_path, capsys, monkeypatch):
         "budget_report": {"stage": "automorphism search", "budget": 5}}
 
 
+def test_cli_aut_deep_search_yields_unknown(tmp_path, capsys, monkeypatch):
+    from haarcay.cli import main
+    edges = tmp_path / "e1100.txt"
+    edges.write_text("1100 0\n", encoding="utf-8")
+    monkeypatch.setenv("HAARCAY_BUDGET", "1200")
+    assert main(["aut", str(edges)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "verdict": "unknown", "vertices": 1100,
+        "budget_report": {"stage": "automorphism search", "budget": 1200}}
+
+
 def test_cli_closed_pipe_exits_141_silently():
     """A reader that stops after one line is not bad input: no message, and
     the exit status a SIGPIPE kill would give."""
