@@ -30,8 +30,8 @@ from .bicayley import (
     cayley_certificate_from_swaps,
     right_translation_group_perms,
 )
-from .graphs import Graph
-from .groups import mask_of
+from .graphs import Graph, components
+from .groups import elements_of, mask_of
 from .perms import BudgetExceeded, Perm, PermGroup, identity_perm, is_identity, pinv, pmul
 
 IR_BUDGET = 10 ** 7
@@ -259,6 +259,26 @@ class RegularSearchOutcome:
     nodes: int
 
 
+def _is_semiregular(p: Perm) -> bool:
+    """Whether every cycle of p has the same length; only such elements
+    (the identity among them) can lie in a regular group."""
+    n = len(p)
+    seen = bytearray(n)
+    length = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        x, k = start, 0
+        while not seen[x]:
+            seen[x] = 1
+            x = p[x]
+            k += 1
+        if length and k != length:
+            return False
+        length = k
+    return True
+
+
 def regular_subgroup_search(aut: PermGroup, budget: int = REGULAR_BUDGET,
                             vertex_order: Optional[Sequence[int]] = None) -> RegularSearchOutcome:
     """Search for a subgroup acting regularly on all points.
@@ -266,10 +286,13 @@ def regular_subgroup_search(aut: PermGroup, budget: int = REGULAR_BUDGET,
     Transversal-based backtracking: walk the vertices in the given order
     (breadth-first from the base vertex by default), and for the first vertex
     v outside the current orbit of the base, try every automorphism mapping
-    base -> v, closing the partial subgroup under products and pruning as
-    soon as a non-identity element has a fixed point or the order exceeds the
-    degree.  Exhausting the search space is a definitive "no regular
-    subgroup"; running out of budget is not.
+    base -> v, closing the partial subgroup under products.  Every element of
+    a regular group is semiregular (all its cycles have one length), so a
+    candidate that is not is rejected before closure, and a closure fails as
+    soon as it meets such an element or outgrows the degree.  Each rejected
+    candidate counts as one node, as each closure element does, so the budget
+    bounds the whole walk.  Exhausting the search space is a definitive "no
+    regular subgroup"; running out of budget is not.
     """
     n = aut.degree
     if n == 0 or not aut.is_transitive():
@@ -288,23 +311,25 @@ def regular_subgroup_search(aut: PermGroup, budget: int = REGULAR_BUDGET,
     nodes = 0
     ident = identity_perm(n)
 
-    def closed_with(elems: frozenset, g: Perm) -> Optional[frozenset]:
+    def count_node() -> None:
         nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded("regular subgroup search", budget)
+
+    def closed_with(elems: frozenset, g: Perm) -> Optional[frozenset]:
         result = set(elems)
         frontier = [g]
         while frontier:
             p = frontier.pop()
             if p in result:
                 continue
-            fixed = any(p[x] == x for x in range(n))
-            if fixed and not is_identity(p):
+            if not _is_semiregular(p):
                 return None
             result.add(p)
             if len(result) > n:
                 return None
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded("regular subgroup search", budget)
+            count_node()
             for q in list(result):
                 frontier.append(pmul(p, q))
                 frontier.append(pmul(q, p))
@@ -319,6 +344,9 @@ def regular_subgroup_search(aut: PermGroup, budget: int = REGULAR_BUDGET,
             return None  # transitive but order < n: cannot become regular
         for s in stab0.elements():
             cand = pmul(s, transversal[v])
+            if not _is_semiregular(cand):
+                count_node()
+                continue
             grown = closed_with(elems, cand)
             if grown is not None:
                 hit = extend(grown, gens + (cand,))
@@ -388,6 +416,50 @@ def _bfs_vertex_order(graph: Graph) -> list[int]:
     return order
 
 
+def _copies(graph: Graph) -> Optional[list[list[int]]]:
+    """The components of the graph, or else of its complement, when there are
+    two or more (at most one of the two graphs is disconnected)."""
+    if graph.n < 2:
+        return None
+    for g in (graph, graph.complement()):
+        parts = components(g)
+        if len(parts) > 1:
+            return parts
+    return None
+
+
+def _induced(graph: Graph, vertices: Sequence[int]) -> Graph:
+    """The subgraph on ``vertices``, relabelled 0, 1, ... in their order."""
+    index = {v: i for i, v in enumerate(vertices)}
+    keep = mask_of(vertices)
+    return Graph(len(vertices),
+                 [mask_of(index[u] for u in elements_of(graph.rows[v] & keep))
+                  for v in vertices], validate=False)
+
+
+def _lift_to_copies(gens: Sequence[Perm], copies: list[list[int]],
+                    transversal: dict[int, Perm]) -> list[Perm]:
+    """Generators of R x Z_m on m isomorphic copies, from generators of R on
+    the first copy (in its own labels).  Copy j is reached through the
+    transversal element carrying vertex 0 to the first vertex of copy j: an
+    automorphism, so it maps the first copy onto copy j."""
+    maps = [[transversal[copy[0]][v] for v in copies[0]] for copy in copies]
+    n = sum(len(copy) for copy in copies)
+    lifted = []
+    for r in gens:
+        p = [0] * n
+        for phi in maps:
+            for i, x in enumerate(phi):
+                p[x] = phi[r[i]]
+        lifted.append(tuple(p))
+    shift = [0] * n
+    for phi, nxt in zip(maps, maps[1:] + maps[:1]):
+        for x, y in zip(phi, nxt):
+            shift[x] = y
+    lifted.append(tuple(shift))
+    return lifted
+
+
 def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
                   ir_budget: int = IR_BUDGET,
                   regular_budget: int = REGULAR_BUDGET) -> Certificate:
@@ -397,9 +469,17 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     Three stages: one automorphism search, whose orbits decide
     vertex-transitivity (intransitive means NonCayley); then, when provenance
     hints are present, the part-swap certificate (the right translations and
-    a part-swapping map whose square is a translation); then the exhaustive
-    regular-subgroup search in the same automorphism group.  Unknown only on
-    budget exhaustion.
+    a part-swapping map whose square is a translation); then the regular
+    stage, which reduces, filters and searches.  Reduce: when the graph or
+    its complement is disconnected, the graph is made of m copies of one
+    graph Z, and it is Cayley exactly when Z is; the stage goes on with the
+    copy holding vertex 0, after its own automorphism search (each within
+    ``ir_budget``), until neither Z nor its complement is disconnected.
+    Filter and search: ``regular_subgroup_search`` in Z's automorphism
+    group.  A regular group R of Z lifts to R x Z_m, with the copy maps read
+    from the transversal of Aut's base point 0, and the lift is checked on
+    the graph itself; an exhausted search on Z is one on the graph.  Unknown
+    only on budget exhaustion.
     """
     t0 = time.perf_counter()
     seeds: list[Perm] = []
@@ -420,18 +500,40 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
             return Certificate("cayley", regular_generators=list(group.generators),
                                swap_witness=witness, nodes=aut.nodes,
                                millis=(time.perf_counter() - t0) * 1000)
-    outcome = regular_subgroup_search(aut.group, budget=regular_budget,
-                                      vertex_order=_bfs_vertex_order(graph))
+    nodes = aut.nodes
+    reductions: list[tuple[AutResult, list[list[int]]]] = []
+    z, z_aut = graph, aut
+    while (copies := _copies(z)) is not None:
+        reductions.append((z_aut, copies))
+        z = _induced(z, copies[0])
+        try:
+            z_aut = automorphism_group(z, budget=ir_budget)
+        except BudgetExceeded as exc:
+            return Certificate("unknown", budget_report={"stage": exc.what, "budget": exc.budget},
+                               nodes=nodes, millis=(time.perf_counter() - t0) * 1000)
+        nodes += z_aut.nodes
+        if len(z_aut.orbits) > 1:
+            raise RuntimeError("a copy in a vertex-transitive graph is intransitive")
+    outcome = regular_subgroup_search(z_aut.group, budget=regular_budget,
+                                      vertex_order=_bfs_vertex_order(z))
+    nodes += outcome.nodes
+    group = outcome.group
+    if group is not None and reductions:
+        gens = group.generators
+        for level_aut, copies in reversed(reductions):
+            gens = _lift_to_copies(gens, copies, level_aut.group._levels[0].transversal)
+        group = PermGroup(graph.n, gens)
+        if not group.is_regular():
+            raise RuntimeError("lifted regular group is not regular")
     millis = (time.perf_counter() - t0) * 1000
-    if outcome.group is not None:
-        if not all(graph.is_automorphism(p) for p in outcome.group.generators):
+    if group is not None:
+        if not all(graph.is_automorphism(p) for p in group.generators):
             raise RuntimeError("regular subgroup generator is not an automorphism")
-        return Certificate("cayley", regular_generators=list(outcome.group.generators),
-                           nodes=aut.nodes + outcome.nodes, millis=millis)
+        return Certificate("cayley", regular_generators=list(group.generators),
+                           nodes=nodes, millis=millis)
     if outcome.exhausted:
-        return Certificate("non_cayley", exhausted_search=True,
-                           nodes=aut.nodes + outcome.nodes, millis=millis)
+        return Certificate("non_cayley", exhausted_search=True, nodes=nodes, millis=millis)
     return Certificate("unknown",
                        budget_report={"stage": "regular subgroup search",
                                       "budget": regular_budget},
-                       nodes=aut.nodes + outcome.nodes, millis=millis)
+                       nodes=nodes, millis=millis)

@@ -20,7 +20,6 @@ from .automorphisms import (
     are_isomorphic,
     automorphism_group,
     cayley_status,
-    is_vertex_transitive,
 )
 from .bicayley import BiCayleyHints, right_translation_group_perms
 from .graphs import Graph, complete_bipartite, empty_graph, haar_graph, lex_product
@@ -219,6 +218,7 @@ class ObstructionReport:
     translate_free: bool
     blowup_isomorphic: bool
     conclusion: str                       # "not_in_bc" | "inconclusive"
+    nodes: int                            # the quotient's automorphism search
 
     def to_json_dict(self) -> dict:
         return {
@@ -256,7 +256,8 @@ def check_quotient_obstruction(H: GroupTable, normal: int, quotient_set: int) ->
     automorphism search is the quotient's vertex-transitivity check."""
     Q, proj = quotient(H, normal)
     graph, _ = haar_graph(Q, quotient_set)
-    vt, _ = is_vertex_transitive(graph, right_translation_group_perms(Q))
+    aut = automorphism_group(graph, right_translation_group_perms(Q))
+    vt = len(aut.orbits) <= 1
     tfree = translate_free(Q, quotient_set)
     lifted = mask_of(h for h in range(H.order) if (quotient_set >> proj[h]) & 1)
     big, _ = haar_graph(H, lifted)
@@ -272,7 +273,8 @@ def check_quotient_obstruction(H: GroupTable, normal: int, quotient_set: int) ->
             big.relabel(phi) != lex_product(graph, empty_graph(m)):
         raise RuntimeError("blow-up consistency check failed")
     conclusion = "not_in_bc" if (not vt and tfree) else "inconclusive"
-    return ObstructionReport(H.tag or "?", m, Q.order, not vt, tfree, True, conclusion)
+    return ObstructionReport(H.tag or "?", m, Q.order, not vt, tfree, True, conclusion,
+                             aut.nodes)
 
 
 def anchored_class_representatives(H: GroupTable) -> list[int]:
@@ -402,6 +404,7 @@ def run_case(case: CaseSpec) -> dict:
         report = check_quotient_obstruction(H, normal, qset)
         verdict = report.conclusion
         certificate = report.to_json_dict()
+        nodes = report.nodes
         ok = verdict == case.expected
     else:
         raise ValueError(f"unknown case kind {case.kind!r}")

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from haarcay.automorphisms import (
     Certificate,
@@ -14,7 +15,7 @@ from haarcay.automorphisms import (
 )
 from haarcay import bicayley
 from haarcay.bicayley import BiCayleyHints, normalizer_structure, right_translation_group_perms
-from haarcay.cases import CASE_INDEX
+from haarcay.cases import CASE_INDEX, constructor_catalog, verify_certificate
 from haarcay.graphs import (
     Graph,
     cayley_graph,
@@ -324,9 +325,13 @@ def test_cayley_status_runs_one_automorphism_search(monkeypatch):
     assert len(calls) == 1
 
 
-def test_generic_cayley_status_builds_three_perm_groups(monkeypatch):
-    """Aut, the point stabilizer and the regular group found: the regular
-    search reuses Aut's BSGS, whose base already starts at vertex 0."""
+def test_generic_cayley_status_perm_group_builds(monkeypatch):
+    """C24 and its complement are connected, so it builds Aut, the point
+    stabilizer and the regular group found: the regular search reuses Aut's
+    BSGS, whose base already starts at vertex 0.  K4,4 (complement 2K4, one
+    part is E4, which is 4K1) and 4C6 are decided on one copy: the search
+    runs there, each reduction level builds its Aut for the copy maps, and
+    the lifted group is built once on the whole graph."""
     built = []
     init = PermGroup.__init__
 
@@ -335,15 +340,74 @@ def test_generic_cayley_status_builds_three_perm_groups(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PermGroup, "__init__", counting)
-    for g in (complete_bipartite(4, 4), cycle_graph(24), disjoint_union([cycle_graph(6)] * 4)):
+    expected = [(cycle_graph(24), [24] * 3),
+                (complete_bipartite(4, 4), [1, 4, 8, 8]),
+                (disjoint_union([cycle_graph(6)] * 4), [6, 6, 6, 24, 24])]
+    for g, sizes in expected:
         built.clear()
         cert = cayley_status(g)
         assert cert.verdict == "cayley" and cert.swap_witness is None
-        assert built == [g.n] * 3
+        assert built == sizes
 
 
 def _never_called(*args, **kwargs):
     raise AssertionError("normalizer_structure called")
+
+
+def _relabelled_copies(g, count, rng):
+    for _ in range(count):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield g.relabel(perm)
+
+
+def test_generic_4c4_is_cayley_within_a_small_budget():
+    # 4C4 = Haar(Z8, {0, 4}) reduces to one C4, which its complement 2K2
+    # reduces further
+    g, _ = haar_graph(cyclic_group(8), mask_of([0, 4]))
+    cert = cayley_status(g, regular_budget=10_000)
+    assert cert.verdict == "cayley" and verify_certificate(g, cert)
+    assert cert.nodes < 1000
+
+
+@pytest.mark.parametrize("g", [empty_graph(12), complete_bipartite(6, 6),
+                               disjoint_union([cycle_graph(6)] * 4)],
+                         ids=["E12", "K6,6", "4C6"])
+def test_generic_status_decides_reducible_graphs_at_small_budgets(g):
+    for h in _relabelled_copies(g, 4, random.Random(g.n)):
+        cert = cayley_status(h, ir_budget=5000, regular_budget=1000)
+        assert cert.verdict == "cayley" and verify_certificate(h, cert)
+
+
+def test_regular_search_budget_counts_rejected_candidates():
+    """Only the identity and the 24 elements of order 5 among the 120
+    automorphisms of the Petersen graph are semiregular.  Rejected candidates
+    count against the budget, so a budget below the full walk ends
+    unexhausted instead of claiming an exhausted search."""
+    aut = automorphism_group(petersen()).group
+    assert sum(PermGroup(10, [p]).is_semiregular() for p in aut.elements()) == 25
+    full = regular_subgroup_search(aut)
+    assert full.group is None and full.exhausted and full.nodes > 80
+    cut = regular_subgroup_search(aut, budget=80)
+    assert cut.group is None and not cut.exhausted and cut.nodes == 81
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_generic_status_agrees_on_copies_and_complement(data):
+    """A graph, m disjoint copies of it and its complement are Cayley
+    together or not at all."""
+    H = data.draw(st.sampled_from(constructor_catalog(12)), label="H")
+    S = data.draw(st.integers(0, (1 << H.order) - 1), label="S") | 1
+    m = data.draw(st.sampled_from([2, 3]), label="m")
+    x, _ = haar_graph(H, S)
+    verdicts = set()
+    for g in (x, disjoint_union([x] * m), x.complement()):
+        cert = cayley_status(g, ir_budget=5000, regular_budget=1000)
+        if cert.verdict == "cayley":
+            assert verify_certificate(g, cert)
+        verdicts.add(cert.verdict)
+    assert len(verdicts - {"unknown"}) <= 1
 
 
 def test_regular_subgroup_intransitive_input():

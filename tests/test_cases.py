@@ -109,6 +109,7 @@ def test_obstruction_runs_one_automorphism_search(monkeypatch):
     """The blow-up is checked through its coset map, so the quotient's
     vertex-transitivity check is the only automorphism search."""
     import haarcay.automorphisms as automorphisms
+    import haarcay.cases as cases
     calls = []
     search = automorphisms.automorphism_group
 
@@ -117,9 +118,22 @@ def test_obstruction_runs_one_automorphism_search(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(automorphisms, "automorphism_group", counting)
+    monkeypatch.setattr(cases, "automorphism_group", counting)
     report = reproduce("obstruct-z7-z4")
     assert report["pass"] and report["certificate"]["blowup_isomorphic"] is True
     assert calls == [28]
+
+
+def test_reproduce_all_reports_the_work_of_every_case(capsys):
+    """Every case runs at least one automorphism search, the obstruction
+    cases included (theirs is on the quotient's Haar graph)."""
+    from haarcay.cli import main
+
+    assert main(["reproduce", "--all"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert sorted(row["case_id"] for row in rows) == sorted(CASE_INDEX)
+    for row in rows:
+        assert row["nodes_explored"] > 0, row["case_id"]
 
 
 def test_reproduce_under_python_O_matches_normal_run():
