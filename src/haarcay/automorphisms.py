@@ -30,9 +30,10 @@ from .bicayley import (
     cayley_certificate_from_swaps,
     right_translation_group_perms,
 )
-from .graphs import Graph, components
+from .graphs import Graph, components, haar_graph
 from .groups import elements_of, mask_of
-from .perms import BudgetExceeded, Perm, PermGroup, identity_perm, is_identity, pinv, pmul
+from .perms import (BudgetExceeded, Perm, PermGroup, _OrbitCache, _schreier_tree, identity_perm,
+                    is_identity, pinv, pmul)
 
 IR_BUDGET = 10 ** 7
 REGULAR_BUDGET = 10 ** 7
@@ -67,35 +68,6 @@ def _refine(rows: Sequence[int], cells: list[list[int]],
                     queue.append(mask_of(part))
         cells = out
     return cells
-
-
-class _OrbitCache:
-    """Union-find over the discovered generators that fix a node's prefix.
-    Updates are incremental: only generators added since the last call are
-    inspected (the prefix is fixed for the cache's lifetime)."""
-
-    def __init__(self, n: int, prefix: Sequence[int]):
-        self.n = n
-        self.prefix = prefix
-        self.gen_count = 0
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def update(self, gens: list[Perm]) -> None:
-        for g in gens[self.gen_count:]:
-            if all(g[x] == x for x in self.prefix):
-                for x, y in enumerate(g):
-                    if x != y:
-                        rx, ry = self.find(x), self.find(y)
-                        if rx != ry:
-                            self.parent[ry] = rx
-        self.gen_count = len(gens)
 
 
 @dataclass
@@ -167,11 +139,7 @@ class _AutSearch:
             cells = self._next_child(stack)
         root = _OrbitCache(self.n, ())
         root.update(self.gens)
-        buckets: dict[int, list[int]] = {}
-        for v in range(self.n):
-            buckets.setdefault(root.find(v), []).append(v)
-        orbits = [buckets[k] for k in sorted(buckets)]
-        return AutResult(self.n, list(self.gens), orbits,
+        return AutResult(self.n, list(self.gens), root.partition(),
                          self.best[0], self.best[1], self.nodes)
 
     def _next_child(self, stack: list[_Frame]) -> Optional[list[list[int]]]:
@@ -279,6 +247,13 @@ def _is_semiregular(p: Perm) -> bool:
     return True
 
 
+def _transversal_of_0(gens: Sequence[Perm], n: int) -> dict[int, Perm]:
+    """Vertex v -> an element of <gens> carrying 0 to v: the breadth-first
+    Schreier tree of vertex 0, which is the base-point-0 transversal of any
+    BSGS built from ``gens`` with base point 0 first."""
+    return _schreier_tree(0, [(g, pinv(g)) for g in gens], identity_perm(n))[0]
+
+
 def regular_subgroup_search(aut: PermGroup, budget: int = REGULAR_BUDGET,
                             vertex_order: Optional[Sequence[int]] = None) -> RegularSearchOutcome:
     """Search for a subgroup acting regularly on all points.
@@ -304,9 +279,7 @@ def regular_subgroup_search(aut: PermGroup, budget: int = REGULAR_BUDGET,
     order = list(vertex_order) if vertex_order is not None else list(range(n))
     if order[0] != 0:
         raise ValueError("vertex order must start at the base vertex 0")
-    if aut.base[0] != 0:
-        aut = PermGroup(n, aut.generators, base_prefix=[0])
-    transversal = aut._levels[0].transversal
+    transversal = _transversal_of_0(aut.generators, n)
     stab0 = aut.stabilizer(0)
     nodes = 0
     ident = identity_perm(n)
@@ -438,13 +411,14 @@ def _induced(graph: Graph, vertices: Sequence[int]) -> Graph:
 
 
 def _lift_to_copies(gens: Sequence[Perm], copies: list[list[int]],
-                    transversal: dict[int, Perm]) -> list[Perm]:
+                    aut_gens: Sequence[Perm]) -> list[Perm]:
     """Generators of R x Z_m on m isomorphic copies, from generators of R on
     the first copy (in its own labels).  Copy j is reached through the
-    transversal element carrying vertex 0 to the first vertex of copy j: an
+    element of <aut_gens> carrying vertex 0 to the first vertex of copy j: an
     automorphism, so it maps the first copy onto copy j."""
-    maps = [[transversal[copy[0]][v] for v in copies[0]] for copy in copies]
     n = sum(len(copy) for copy in copies)
+    transversal = _transversal_of_0(aut_gens, n)
+    maps = [[transversal[copy[0]][v] for v in copies[0]] for copy in copies]
     lifted = []
     for r in gens:
         p = [0] * n
@@ -477,13 +451,16 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     ``ir_budget``), until neither Z nor its complement is disconnected.
     Filter and search: ``regular_subgroup_search`` in Z's automorphism
     group.  A regular group R of Z lifts to R x Z_m, with the copy maps read
-    from the transversal of Aut's base point 0, and the lift is checked on
-    the graph itself; an exhausted search on Z is one on the graph.  Unknown
-    only on budget exhaustion.
+    from a breadth-first Schreier tree of vertex 0 over the generators of
+    Aut, and the lift is checked on the graph itself; an exhausted search on
+    Z is one on the graph.  Unknown only on budget exhaustion.  Hints whose
+    Haar graph is not the graph given raise ``ValueError``.
     """
     t0 = time.perf_counter()
     seeds: list[Perm] = []
     if hints is not None:
+        if haar_graph(hints.table, hints.spokes)[0] != graph:
+            raise ValueError("the hints' Haar graph is not the graph given")
         seeds = right_translation_group_perms(hints.table)
     try:
         aut = automorphism_group(graph, seeds, ir_budget)
@@ -501,10 +478,10 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
                                swap_witness=witness, nodes=aut.nodes,
                                millis=(time.perf_counter() - t0) * 1000)
     nodes = aut.nodes
-    reductions: list[tuple[AutResult, list[list[int]]]] = []
+    reductions: list[tuple[list[Perm], list[list[int]]]] = []
     z, z_aut = graph, aut
     while (copies := _copies(z)) is not None:
-        reductions.append((z_aut, copies))
+        reductions.append((z_aut.generators, copies))
         z = _induced(z, copies[0])
         try:
             z_aut = automorphism_group(z, budget=ir_budget)
@@ -520,8 +497,8 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     group = outcome.group
     if group is not None and reductions:
         gens = group.generators
-        for level_aut, copies in reversed(reductions):
-            gens = _lift_to_copies(gens, copies, level_aut.group._levels[0].transversal)
+        for aut_gens, copies in reversed(reductions):
+            gens = _lift_to_copies(gens, copies, aut_gens)
         group = PermGroup(graph.n, gens)
         if not group.is_regular():
             raise RuntimeError("lifted regular group is not regular")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .automorphisms import (
     IR_BUDGET,
@@ -24,6 +24,7 @@ from .automorphisms import (
 from .bicayley import BiCayleyHints, right_translation_group_perms
 from .graphs import Graph, complete_bipartite, empty_graph, haar_graph, lex_product
 from .groups import (
+    GroupConstructionError,
     GroupTable,
     connection_set,
     cyclic_group,
@@ -435,6 +436,35 @@ def reproduce_all(case_ids: Optional[list[str]] = None) -> list[dict]:
 
 # -- inner-abelian scan -----------------------------------------------------------
 
+def _family_groups(mp_primes: tuple[int, ...], mp_max: tuple[int, int],
+                   mm_primes: tuple[int, ...], mm_max: tuple[int, int],
+                   keep: Callable[[int], bool]) -> Iterator[GroupTable]:
+    """MpMN(p,m,n) and MpMN1(p,m,n) for p in ``mp_primes`` and (m, n) up to
+    ``mp_max``, then MillerMoreno(p,k,q,e) for p in ``mm_primes``, q in
+    {2,3,5,7} and (k, e) up to ``mm_max``: each group whose order passes
+    ``keep``, tested before it is built.  The constructors hold the family
+    constraints; a parameter set they refuse is skipped."""
+    def candidates():
+        for p in mp_primes:
+            for m in range(1, mp_max[0] + 1):
+                for n in range(1, mp_max[1] + 1):
+                    yield mp_group, (p, m, n), p ** (m + n)
+                    yield mp1_group, (p, m, n), p ** (m + n + 1)
+        for p in mm_primes:
+            for q in (2, 3, 5, 7):
+                for k in range(1, mm_max[0] + 1):
+                    for e in range(1, mm_max[1] + 1):
+                        yield miller_moreno_group, (p, k, q, e), p ** k * q ** e
+
+    for build, args, order in candidates():
+        if keep(order):
+            try:
+                group = build(*args)
+            except GroupConstructionError:
+                continue
+            yield group
+
+
 def constructor_catalog(max_order: int) -> list[GroupTable]:
     """Deterministic list of catalog groups up to a given order."""
     groups: list[GroupTable] = []
@@ -444,25 +474,8 @@ def constructor_catalog(max_order: int) -> list[GroupTable]:
         groups.append(dihedral_group(n))
     if max_order >= 8:
         groups.append(quaternion_group())
-    for p in (2, 3, 5):
-        for m in range(1, 7):
-            for n in range(1, 5):
-                if m >= 2 and p ** (m + n) <= max_order:
-                    groups.append(mp_group(p, m, n))
-                if m >= n and (p != 2 or m + n >= 3) and p ** (m + n + 1) <= max_order:
-                    groups.append(mp1_group(p, m, n))
-    for p in (2, 3, 5, 7, 11):
-        for q in (2, 3, 5, 7):
-            if p == q:
-                continue
-            for n in range(1, 5):
-                if pow(p, n, q) != 1 or n >= q:
-                    continue
-                if any(pow(p, k, q) == 1 for k in range(1, n)):
-                    continue
-                for m in range(1, 4):
-                    if p ** n * q ** m <= max_order:
-                        groups.append(miller_moreno_group(p, n, q, m))
+    groups.extend(_family_groups((2, 3, 5), (6, 4), (2, 3, 5, 7, 11), (4, 3),
+                                 lambda order: order <= max_order))
     for factors in ([2, 2], [2, 4], [3, 3], [2, 2, 2], [2, 6], [4, 4], [2, 8]):
         order = 1
         for f in factors:
@@ -478,31 +491,12 @@ def inner_abelian_family_member(H: GroupTable) -> Optional[str]:
     """The inner-abelian family member isomorphic to H, if any: the
     quaternion group, a two-generator p-group from the catalog families, or
     an elementary-by-cyclic semidirect product."""
-    n = H.order
-    if n == 8 and group_isomorphism(H, quaternion_group()) is not None:
+    if H.order == 8 and group_isomorphism(H, quaternion_group()) is not None:
         return "Q8"
-    for p in (2, 3, 5, 7):
-        for m in range(1, 10):
-            for k in range(1, 8):
-                if m >= 2 and p ** (m + k) == n and \
-                        group_isomorphism(H, mp_group(p, m, k)) is not None:
-                    return mp_group(p, m, k).tag
-                if (m >= k and (p != 2 or m + k >= 3) and p ** (m + k + 1) == n
-                        and group_isomorphism(H, mp1_group(p, m, k)) is not None):
-                    return mp1_group(p, m, k).tag
-    for p in (2, 3, 5, 7, 11, 13):
-        for q in (2, 3, 5, 7):
-            if p == q:
-                continue
-            for k in range(1, 6):
-                if pow(p, k, q) != 1 or k >= q:
-                    continue
-                if any(pow(p, j, q) == 1 for j in range(1, k)):
-                    continue
-                for m in range(1, 6):
-                    if p ** k * q ** m == n and \
-                            group_isomorphism(H, miller_moreno_group(p, k, q, m)) is not None:
-                        return miller_moreno_group(p, k, q, m).tag
+    for G in _family_groups((2, 3, 5, 7), (9, 7), (2, 3, 5, 7, 11, 13), (5, 5),
+                            lambda order: order == H.order):
+        if group_isomorphism(H, G) is not None:
+            return G.tag
     return None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .groups import GroupTable, elements_of, inverse_mask
+from .groups import GroupTable, elements_of, inverse_mask, mask_image
 
 VERTEX_CAP = 4096
 
@@ -89,28 +89,16 @@ class Graph:
         if len(p) != self.n:
             return False
         rows = self.rows
-        for v in range(self.n):
-            mapped = 0
-            w = rows[v]
-            while w:
-                low = w & -w
-                mapped |= 1 << p[low.bit_length() - 1]
-                w ^= low
-            if mapped != rows[p[v]]:
+        for v, row in enumerate(rows):
+            if mask_image(row, p) != rows[p[v]]:
                 return False
         return set(p) == set(range(self.n))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image graph: vertex v becomes perm[v]."""
         rows = [0] * self.n
-        for v in range(self.n):
-            target = 0
-            w = self.rows[v]
-            while w:
-                low = w & -w
-                target |= 1 << perm[low.bit_length() - 1]
-                w ^= low
-            rows[perm[v]] = target
+        for v, row in enumerate(self.rows):
+            rows[perm[v]] = mask_image(row, perm)
         return Graph(self.n, rows, validate=False)
 
     def complement(self) -> "Graph":
@@ -307,12 +295,23 @@ def write_edge_list(g: Graph) -> str:
 
 
 def read_edge_list(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n, m = map(int, lines[0].split())
-    g = Graph(n)
-    for ln in lines[1:]:
-        u, v = map(int, ln.split())
-        g.add_edge(u, v)
+    """Parse what ``write_edge_list`` writes.  Bad input raises
+    ``ValueError`` naming the line at fault."""
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise ValueError("edge list is empty: it needs an 'n m' header line")
+    g, m = None, 0
+    for i, ln in lines:
+        try:
+            u, v = map(int, ln.split())
+            if g is None:
+                g, m = Graph(u), v
+            elif 0 <= u < g.n and 0 <= v < g.n:
+                g.add_edge(u, v)
+            else:
+                raise ValueError(f"vertex outside 0..{g.n - 1}")
+        except ValueError as exc:
+            raise ValueError(f"edge list line {i} {ln!r}: {exc}") from None
     if g.edge_count() != m:
         raise ValueError(f"edge list header says {m} edges, found {g.edge_count()}")
     return g

@@ -396,6 +396,35 @@ def is_inner_abelian(H: GroupTable) -> bool:
 
 # -- family constructors ------------------------------------------------------
 
+class _MixedRadix:
+    """Codes 0..size-1 for digit vectors whose i-th digit lies in
+    0..sizes[i]-1, the first digit most significant."""
+
+    __slots__ = ("sizes", "place", "size")
+
+    def __init__(self, sizes: Sequence[int]):
+        self.sizes = tuple(sizes)
+        place = []
+        acc = 1
+        for s in reversed(self.sizes):
+            place.append(acc)
+            acc *= s
+        self.place = tuple(reversed(place))
+        self.size = acc
+
+    def decode(self, code: int) -> list[int]:
+        return [(code // w) % s for w, s in zip(self.place, self.sizes)]
+
+    def encode(self, digits: Iterable[int]) -> int:
+        """The code of the digits, each reduced modulo its size."""
+        return sum((d % s) * w for d, s, w in zip(digits, self.sizes, self.place))
+
+    def sum_table(self) -> list[list[int]]:
+        """Table of digit-wise addition: the group Z_sizes[0] x Z_sizes[1] x ..."""
+        digits = [self.decode(c) for c in range(self.size)]
+        return [[self.encode(x + y for x, y in zip(u, v)) for v in digits] for u in digits]
+
+
 def _table_from_forms(forms: list[tuple], mul: Callable[[tuple, tuple], tuple],
                       gen_forms: Sequence[tuple[str, tuple]], tag: str) -> GroupTable:
     forms = sorted(forms)
@@ -616,18 +645,12 @@ def miller_moreno_group(p: int, n: int, q: int, m: int,
     if not _mat_is_identity(power):
         raise GroupConstructionError("action matrix does not have order q")
 
-    pn = p ** n
-    radix = [p ** (n - 1 - i) for i in range(n)]
-
-    def decode(code):
-        return [(code // radix[i]) % p for i in range(n)]
-
-    def encode(vec):
-        return sum(v * radix[i] for i, v in enumerate(vec))
+    codec = _MixedRadix([p] * n)
+    pn = codec.size
 
     def apply_mat(mm, code):
-        vec = decode(code)
-        return encode([sum(mm[i][j] * vec[j] for j in range(n)) % p for i in range(n)])
+        vec = codec.decode(code)
+        return codec.encode(sum(mm[i][j] * vec[j] for j in range(n)) for i in range(n))
 
     act = [list(range(pn))]
     pow_mat = mat
@@ -640,10 +663,8 @@ def miller_moreno_group(p: int, n: int, q: int, m: int,
                 raise GroupConstructionError("action has a nonzero fixed vector")
 
     qm = q ** m
-    add = [[encode([(x + y) % p for x, y in zip(decode(c1), decode(c2))])
-            for c2 in range(pn)] for c1 in range(pn)]
-    mult = _semidirect_table(add, act, qm)
-    gens = [("a", radix[0] * qm), ("b", 1)]
+    mult = _semidirect_table(codec.sum_table(), act, qm)
+    gens = [("a", codec.place[0] * qm), ("b", 1)]
     return GroupTable(mult, gens=gens, tag=f"MillerMoreno({p},{n},{q},{m})")
 
 
@@ -719,13 +740,8 @@ def presented_group(ngens: int, relators: Sequence[str],
             conj[g] = [g + 1]  # t acts trivially on it
 
     base_orders = orders[:t]
-    radix = []
-    acc = 1
-    for o in reversed(base_orders):
-        radix.append(acc)
-        acc *= o
-    radix.reverse()
-    base_size = acc
+    codec = _MixedRadix(base_orders)
+    base_size = codec.size
 
     def vec_of_word(w: list[int]) -> list[int]:
         v = [0] * t
@@ -738,19 +754,12 @@ def presented_group(ngens: int, relators: Sequence[str],
 
     images = [vec_of_word(conj[g]) for g in range(t)]
 
-    def decode(code):
-        return [(code // radix[i]) % base_orders[i] for i in range(t)]
-
-    def encode(vec):
-        return sum((v % base_orders[i]) * radix[i] for i, v in enumerate(vec))
-
     def phi(code):
-        vec = decode(code)
         out = [0] * t
-        for g, c in enumerate(vec):
+        for g, c in enumerate(codec.decode(code)):
             for k in range(t):
-                out[k] = (out[k] + c * images[g][k]) % base_orders[k]
-        return encode(out)
+                out[k] += c * images[g][k]
+        return codec.encode(out)
 
     # phi must be an automorphism of the base of order dividing orders[t]
     phi_table = [phi(c) for c in range(base_size)]
@@ -765,14 +774,8 @@ def presented_group(ngens: int, relators: Sequence[str],
     powers.pop()
 
     ot = orders[t]
-    add = [[encode([x + y for x, y in zip(decode(c1), decode(c2))])
-            for c2 in range(base_size)] for c1 in range(base_size)]
-    mult = _semidirect_table(add, powers, ot)
-    gen_elems = []
-    for g in range(t):
-        e = [0] * t
-        e[g] = 1
-        gen_elems.append((labels[g], encode(e) * ot))
+    mult = _semidirect_table(codec.sum_table(), powers, ot)
+    gen_elems = [(labels[g], codec.place[g] * ot) for g in range(t)]
     gen_elems.append((labels[t], 1 % len(mult)))
     G = GroupTable(mult, gens=gen_elems, tag=f"Presented({','.join(labels)})")
 
@@ -790,29 +793,12 @@ def presented_group(ngens: int, relators: Sequence[str],
 def direct_product(factors: Sequence[GroupTable]) -> GroupTable:
     if not factors:
         return cyclic_group(1)
-    sizes = [G.order for G in factors]
-    radix = []
-    acc = 1
-    for s in reversed(sizes):
-        radix.append(acc)
-        acc *= s
-    radix.reverse()
-    n = acc
-
-    def decode(code):
-        return [(code // radix[i]) % sizes[i] for i in range(len(sizes))]
-
-    mult = [[0] * n for _ in range(n)]
-    for c1 in range(n):
-        u = decode(c1)
-        for c2 in range(n):
-            v = decode(c2)
-            mult[c1][c2] = sum(factors[i].mult[u[i]][v[i]] * radix[i]
-                               for i in range(len(sizes)))
-    gens = []
-    for i, G in enumerate(factors):
-        for lbl, e in G.gens:
-            gens.append((f"{lbl}{i + 1}", e * radix[i]))
+    codec = _MixedRadix([G.order for G in factors])
+    digits = [codec.decode(c) for c in range(codec.size)]
+    mult = [[codec.encode(G.mult[x][y] for G, x, y in zip(factors, u, v)) for v in digits]
+            for u in digits]
+    gens = [(f"{lbl}{i + 1}", e * codec.place[i])
+            for i, G in enumerate(factors) for lbl, e in G.gens]
     tag = "x".join(G.tag or "?" for G in factors)
     return GroupTable(mult, gens=gens, tag=tag)
 

@@ -77,6 +77,63 @@ def perm_order(p: Perm) -> int:
     return order
 
 
+def _schreier_tree(point: int, pairs: Sequence[tuple[Perm, Perm]],
+                   identity: Perm) -> tuple[dict[int, Perm], dict[int, Perm]]:
+    """The orbit of ``point`` under (generator, inverse) pairs, by
+    breadth-first search in list order, with t_b = t_a g for the first
+    generator that reaches b and its inverse t_b^-1 = g^-1 t_a^-1, so only
+    the generators are ever inverted."""
+    trans = {point: identity}
+    inverses = {point: identity}
+    queue = [point]
+    for a in queue:
+        ta, ia = trans[a], inverses[a]
+        for g, gi in pairs:
+            b = g[a]
+            if b not in trans:
+                trans[b] = pmul(ta, g)
+                inverses[b] = pmul(gi, ia)
+                queue.append(b)
+    return trans, inverses
+
+
+class _OrbitCache:
+    """Union-find orbits of the generators that fix every point of a prefix
+    (all of them for an empty prefix).  Updates are incremental: only
+    generators added since the last call are inspected (the prefix is fixed
+    for the cache's lifetime)."""
+
+    def __init__(self, n: int, prefix: Sequence[int]):
+        self.n = n
+        self.prefix = prefix
+        self.gen_count = 0
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def update(self, gens: list[Perm]) -> None:
+        for g in gens[self.gen_count:]:
+            if all(g[x] == x for x in self.prefix):
+                for x, y in enumerate(g):
+                    if x != y:
+                        rx, ry = self.find(x), self.find(y)
+                        if rx != ry:
+                            self.parent[ry] = rx
+        self.gen_count = len(gens)
+
+    def partition(self) -> list[list[int]]:
+        """The orbits, each in increasing order, ordered by their roots."""
+        buckets: dict[int, list[int]] = {}
+        for v in range(self.n):
+            buckets.setdefault(self.find(v), []).append(v)
+        return [buckets[k] for k in sorted(buckets)]
+
+
 class _Level:
     """One base point with its strong generators, its orbit transversal, the
     inverse of every transversal element, the sorted orbit and a cursor: the
@@ -142,29 +199,15 @@ class PermGroup:
                 return
 
     def _orbit_transversal(self, level: _Level) -> None:
-        """Rebuild the level by breadth-first search over its generators in
-        list order; t_b = t_a g gives t_b^-1 = g^-1 t_a^-1, so only the
-        generators are ever inverted.  Resets the cursor."""
+        """Rebuild the level's Schreier tree over its generators in list
+        order.  Resets the cursor."""
         gen_inverses = self._gen_inverses
-        pairs = []
         for g in level.gens:
             if g not in gen_inverses:
                 gen_inverses[g] = pinv(g)
-            pairs.append((g, gen_inverses[g]))
-        trans = {level.point: self._identity}
-        inverses = {level.point: self._identity}
-        queue = [level.point]
-        for a in queue:
-            ta, ia = trans[a], inverses[a]
-            for g, gi in pairs:
-                b = g[a]
-                if b not in trans:
-                    trans[b] = pmul(ta, g)
-                    inverses[b] = pmul(gi, ia)
-                    queue.append(b)
-        level.transversal = trans
-        level.inverses = inverses
-        level.orbit = sorted(trans)
+        level.transversal, level.inverses = _schreier_tree(
+            level.point, [(g, gen_inverses[g]) for g in level.gens], self._identity)
+        level.orbit = sorted(level.transversal)
         level.cursor = 0
 
     def _process_level(self, i: int) -> Optional[int]:
@@ -246,23 +289,9 @@ class PermGroup:
         return len(p) == self.degree and self.sift(p) == self._identity
 
     def orbits(self) -> list[list[int]]:
-        parent = list(range(self.degree))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in self.generators:
-            for x in range(self.degree):
-                rx, ry = find(x), find(g[x])
-                if rx != ry:
-                    parent[ry] = rx
-        buckets: dict[int, list[int]] = {}
-        for x in range(self.degree):
-            buckets.setdefault(find(x), []).append(x)
-        return [buckets[k] for k in sorted(buckets)]
+        cache = _OrbitCache(self.degree, ())
+        cache.update(self.generators)
+        return cache.partition()
 
     def orbit_of(self, v: int) -> list[int]:
         seen = {v}

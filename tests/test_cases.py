@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -285,6 +286,19 @@ def test_inner_abelian_scan_includes_order_27():
     assert any(r["tag"] == "MpMN1(3,1,1)" for r in rows)
 
 
+def test_catalog_and_scan_are_pinned():
+    """The catalog's order and tables (direct products included) and the
+    scan rows, hashed; the scan matches Dihedral(13), which the catalog
+    families do not reach, to the MillerMoreno family."""
+    catalog = [(G.tag, G.mult) for G in constructor_catalog(40)]
+    assert hashlib.sha256(repr(catalog).encode()).hexdigest() == \
+        "a8956973c924b21f3177df611a95fb7cdcf9fef2a9b549e28e5eb80f9f8f324a"
+    rows = inner_abelian_scan(30)
+    assert {"tag": "Dihedral(13)", "order": 26, "family": "MillerMoreno(13,1,2,1)"} in rows
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == \
+        "757e60e8b368a604f8035c44a9b0b582df5b98c97e4a01184aedae842292f883"
+
+
 def test_family_member_predicate_matches_oracle():
     for H in constructor_catalog(16):
         member = inner_abelian_family_member(H)
@@ -362,6 +376,21 @@ def test_cli_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "3 1\n0 5\n", "3 1\n5 0\n", "3 1\n0 -1\n",
+                                  "3 1\n-1 0\n", "3 1\n0 1 2\n", "3 1\n1 1\n"],
+                         ids=["empty", "blank", "high-v", "high-u", "negative-v", "negative-u",
+                              "three-fields", "loop"])
+def test_cli_aut_malformed_edge_list_exits_2_with_one_line(text, tmp_path, capsys):
+    from haarcay.cli import main
+    edges = tmp_path / "bad.txt"
+    edges.write_text(text, encoding="utf-8")
+    assert main(["aut", str(edges)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "edge list" in captured.err
 
 
 def test_cli_budget_env_yields_unknown(tmp_path, capsys, monkeypatch):
