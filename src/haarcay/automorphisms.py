@@ -277,8 +277,8 @@ def regular_subgroup_search(aut: PermGroup, budget: int = REGULAR_BUDGET,
     if aut.order == n:
         return RegularSearchOutcome(aut, True, 0)
     order = list(vertex_order) if vertex_order is not None else list(range(n))
-    if order[0] != 0:
-        raise ValueError("vertex order must start at the base vertex 0")
+    if order[:1] != [0] or sorted(order) != list(range(n)):
+        raise ValueError("vertex order must list every vertex once, starting at the base vertex 0")
     transversal = _transversal_of_0(aut.generators, n)
     stab0 = aut.stabilizer(0)
     nodes = 0

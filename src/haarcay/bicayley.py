@@ -33,7 +33,6 @@ from .groups import (
     inverse_mask,
     left_translate_mask,
     mask_image,
-    right_translate_mask,
 )
 from .perms import Perm, PermGroup, pmul
 
@@ -97,14 +96,14 @@ def right_translation_group_perms(H: GroupTable) -> list[Perm]:
         [right_translation_vertex_perm(H, 0)]
 
 
-def _matching_maps(H: GroupTable, S: int, auts: Optional[Sequence[tuple]],
-                   translates: dict[int, list[tuple]], kind, vertex_perm) -> Iterator:
+def _matching_maps(H: GroupTable, S: int, translates: dict[int, list[tuple]],
+                   kind, vertex_perm) -> Iterator:
     """Lazily, ``kind(aut, *key, vertex_perm(H, aut, *key))`` for every
     automorphism a of H and every key indexed under S^a in ``translates``,
     each verified edge-preserving; in (aut images, key) order when every
     index list is appended in key order."""
     graph, _ = haar_graph(H, S)
-    for aut in sorted(map(tuple, auts if auts is not None else group_automorphisms(H))):
+    for aut in group_automorphisms(H):
         for key in translates.get(mask_image(S, aut), ()):
             perm = vertex_perm(H, aut, *key)
             if not graph.is_automorphism(perm):
@@ -112,34 +111,31 @@ def _matching_maps(H: GroupTable, S: int, auts: Optional[Sequence[tuple]],
             yield kind(aut, *key, perm)
 
 
-def part_fix_maps(H: GroupTable, S: int,
-                  auts: Optional[Sequence[tuple]] = None) -> list[PartFixMap]:
+def part_fix_maps(H: GroupTable, S: int) -> list[PartFixMap]:
     """All part-fixing automorphisms (the set F): a with S^a = g^-1 S,
     looked up among the n left translates of S.  Sorted by (aut images, g)."""
     translates: dict[int, list[tuple]] = {}
     for g in range(H.order):
         translates.setdefault(left_translate_mask(H, H.inv[g], S), []).append((g,))
-    return list(_matching_maps(H, S, auts, translates, PartFixMap, fix_vertex_perm))
+    return list(_matching_maps(H, S, translates, PartFixMap, fix_vertex_perm))
 
 
-def _swap_maps(H: GroupTable, S: int,
-               auts: Optional[Sequence[tuple]] = None) -> Iterator[PartSwapMap]:
+def _swap_maps(H: GroupTable, S: int) -> Iterator[PartSwapMap]:
     """The part-swapping maps of ``part_swap_maps``, lazily and in its order."""
-    s_inv = inverse_mask(H, S)
-    bases = [left_translate_mask(H, H.inv[y], s_inv) for y in range(H.order)]
+    rows = [H.mult[H.inv[y]] for y in range(H.order)]  # h -> y^-1 h
     translates: dict[int, list[tuple]] = {}
     for x in range(H.order):
-        for y, base in enumerate(bases):
-            translates.setdefault(right_translate_mask(H, base, x), []).append((x, y))
-    return _matching_maps(H, S, auts, translates, PartSwapMap, swap_vertex_perm)
+        s_inv_x = inverse_mask(H, mask_image(S, rows[x]))
+        for y, row in enumerate(rows):
+            translates.setdefault(mask_image(s_inv_x, row), []).append((x, y))
+    return _matching_maps(H, S, translates, PartSwapMap, swap_vertex_perm)
 
 
-def part_swap_maps(H: GroupTable, S: int,
-                   auts: Optional[Sequence[tuple]] = None) -> list[PartSwapMap]:
+def part_swap_maps(H: GroupTable, S: int) -> list[PartSwapMap]:
     """All part-swapping automorphisms (the set I): a with S^a = y^-1 S^-1 x,
     looked up among the n^2 two-sided translates of S^-1.  Sorted by
     (aut images, x, y) so "first" is reproducible."""
-    return list(_swap_maps(H, S, auts))
+    return list(_swap_maps(H, S))
 
 
 @dataclass

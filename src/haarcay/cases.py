@@ -325,7 +325,7 @@ def enumerate_haar(H: GroupTable, connected_only: bool = False,
 def verify_certificate(graph: Graph, cert: Certificate) -> bool:
     """Independently re-check a certificate against a freshly built graph."""
     if cert.verdict == "cayley":
-        if not cert.regular_generators:
+        if cert.regular_generators is None:
             return False
         if not all(graph.is_automorphism(p) for p in cert.regular_generators):
             return False

@@ -58,14 +58,8 @@ class Graph:
         self.rows[u] |= 1 << v
         self.rows[v] |= 1 << u
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
-
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
-
-    def neighbors(self, v: int) -> list[int]:
-        return elements_of(self.rows[v])
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
@@ -86,13 +80,10 @@ class Graph:
         """Whether the vertex map v -> p[v] is a bijection that carries every
         neighbourhood onto the neighbourhood of the image; stops at the first
         row that differs."""
-        if len(p) != self.n:
+        if len(p) != self.n or set(p) != set(range(self.n)):
             return False
         rows = self.rows
-        for v, row in enumerate(rows):
-            if mask_image(row, p) != rows[p[v]]:
-                return False
-        return set(p) == set(range(self.n))
+        return all(mask_image(row, p) == rows[p[v]] for v, row in enumerate(rows))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image graph: vertex v becomes perm[v]."""
@@ -242,21 +233,11 @@ def lex_product(g1: Graph, g2: Graph) -> Graph:
     if n > VERTEX_CAP:
         raise ValueError("product exceeds the vertex cap")
     full2 = (1 << n2) - 1
-    # mask with block u1 filled for every neighbour u1 of v1
-    block_full = {}
-    for v1 in range(n1):
-        m = 0
-        w = g1.rows[v1]
-        while w:
-            low = w & -w
-            m |= full2 << ((low.bit_length() - 1) * n2)
-            w ^= low
-        block_full[v1] = m
     rows = []
     for v1 in range(n1):
-        base = block_full[v1]
-        for v2 in range(n2):
-            rows.append(base | (g2.rows[v2] << (v1 * n2)))
+        # block u1 filled for every neighbour u1 of v1
+        base = sum(full2 << (u1 * n2) for u1 in elements_of(g1.rows[v1]))
+        rows.extend(base | (row << (v1 * n2)) for row in g2.rows)
     return Graph(n, rows, validate=False)
 
 

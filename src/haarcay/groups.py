@@ -140,9 +140,6 @@ class GroupTable:
                 return e
         raise KeyError(f"no generator labelled {label!r} in {self.tag or 'group'}")
 
-    def gen_labels(self) -> list[str]:
-        return [lbl for lbl, _ in self.gens]
-
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order}, tag={self.tag!r})"
 
@@ -182,19 +179,13 @@ def left_translate_mask(H: GroupTable, g: int, mask: int) -> int:
     return mask_image(mask, H.mult[g])
 
 
-def right_translate_mask(H: GroupTable, mask: int, g: int) -> int:
-    """{s*g : s in mask}."""
-    out = 0
-    v = mask
-    while v:
-        low = v & -v
-        out |= 1 << H.mult[low.bit_length() - 1][g]
-        v ^= low
-    return out
-
-
 def inverse_mask(H: GroupTable, mask: int) -> int:
     return mask_image(mask, H.inv)
+
+
+def right_translate_mask(H: GroupTable, mask: int, g: int) -> int:
+    """{s*g : s in mask}, as (g^-1 * mask^-1)^-1."""
+    return inverse_mask(H, left_translate_mask(H, H.inv[g], inverse_mask(H, mask)))
 
 
 def subgroup_generated(H: GroupTable, mask: int) -> int:
@@ -590,14 +581,22 @@ def _monic_polys(p: int, n: int):
         yield tup
 
 
-def _mat_mul(a, b, p):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)]
-            for i in range(n)]
+def _action_powers(codec: _MixedRadix, images: Sequence[Sequence[int]],
+                   count: int) -> list[list[int]]:
+    """Tables of phi^0 .. phi^count on the codes of ``codec``, where phi is
+    the linear map sending the i-th unit vector to the digits images[i]."""
+    def phi(code):
+        out = [0] * len(images)
+        for c, image in zip(codec.decode(code), images):
+            for k, d in enumerate(image):
+                out[k] += c * d
+        return codec.encode(out)
 
-
-def _mat_is_identity(a):
-    return all(v == (1 if i == j else 0) for i, row in enumerate(a) for j, v in enumerate(row))
+    step = [phi(c) for c in range(codec.size)]
+    powers = [list(range(codec.size))]
+    for _ in range(count):
+        powers.append([step[c] for c in powers[-1]])
+    return powers
 
 
 def _semidirect_table(add: Sequence[Sequence[int]], powers: Sequence[Sequence[int]],
@@ -637,30 +636,14 @@ def miller_moreno_group(p: int, n: int, q: int, m: int,
         if len(mat) != n or any(len(row) != n for row in mat):
             raise GroupConstructionError("action matrix must be n x n")
     # validate: order exactly q and no nonzero fixed vector
-    power = mat
-    for _ in range(q - 1):
-        if _mat_is_identity(power):
-            raise GroupConstructionError("action matrix order is a proper divisor of q")
-        power = _mat_mul(power, mat, p)
-    if not _mat_is_identity(power):
-        raise GroupConstructionError("action matrix does not have order q")
-
     codec = _MixedRadix([p] * n)
-    pn = codec.size
-
-    def apply_mat(mm, code):
-        vec = codec.decode(code)
-        return codec.encode(sum(mm[i][j] * vec[j] for j in range(n)) for i in range(n))
-
-    act = [list(range(pn))]
-    pow_mat = mat
-    for _ in range(q - 1):
-        act.append([apply_mat(pow_mat, c) for c in range(pn)])
-        pow_mat = _mat_mul(pow_mat, mat, p)
-    for r in range(1, q):
-        for c in range(1, pn):
-            if act[r][c] == c:
-                raise GroupConstructionError("action has a nonzero fixed vector")
+    act = _action_powers(codec, list(zip(*mat)), q)  # images of the unit vectors: columns
+    if any(act[r] == act[0] for r in range(1, q)):
+        raise GroupConstructionError("action matrix order is a proper divisor of q")
+    if act.pop() != act[0]:
+        raise GroupConstructionError("action matrix does not have order q")
+    if any(act[r][c] == c for r in range(1, q) for c in range(1, codec.size)):
+        raise GroupConstructionError("action has a nonzero fixed vector")
 
     qm = q ** m
     mult = _semidirect_table(codec.sum_table(), act, qm)
@@ -721,12 +704,6 @@ def presented_group(ngens: int, relators: Sequence[str],
             conj[w[1] - 1] = [-s for s in reversed(w[3:])]  # g^t = tail^-1
         else:
             raise GroupConstructionError(f"unsupported relator shape {raw!r}")
-    if ngens == 1:
-        if not orders[0]:
-            raise GroupConstructionError("generator without power relator")
-        return GroupTable(
-            [[(i + j) % orders[0] for j in range(orders[0])] for i in range(orders[0])],
-            gens=[(labels[0], 1 % orders[0])], tag=f"Presented({','.join(labels)})")
     for g in range(ngens):
         if not orders[g]:
             raise GroupConstructionError(f"generator {labels[g]!r} lacks a power relator")
@@ -741,7 +718,6 @@ def presented_group(ngens: int, relators: Sequence[str],
 
     base_orders = orders[:t]
     codec = _MixedRadix(base_orders)
-    base_size = codec.size
 
     def vec_of_word(w: list[int]) -> list[int]:
         v = [0] * t
@@ -752,28 +728,14 @@ def presented_group(ngens: int, relators: Sequence[str],
             v[g] = (v[g] + (1 if s > 0 else -1)) % base_orders[g]
         return v
 
-    images = [vec_of_word(conj[g]) for g in range(t)]
-
-    def phi(code):
-        out = [0] * t
-        for g, c in enumerate(codec.decode(code)):
-            for k in range(t):
-                out[k] += c * images[g][k]
-        return codec.encode(out)
-
-    # phi must be an automorphism of the base of order dividing orders[t]
-    phi_table = [phi(c) for c in range(base_size)]
-    if sorted(phi_table) != list(range(base_size)):
+    # the action must be an automorphism of the base of order dividing orders[t]
+    ot = orders[t]
+    powers = _action_powers(codec, [vec_of_word(conj[g]) for g in range(t)], ot)
+    if sorted(powers[1]) != powers[0]:
         raise GroupConstructionError("relator inconsistency: action is not a bijection")
-    powers = [list(range(base_size))]
-    for _ in range(orders[t]):
-        powers.append([phi_table[c] for c in powers[-1]])
-    if powers[orders[t]] != powers[0]:
+    if powers.pop() != powers[0]:
         raise GroupConstructionError("relator inconsistency: action order does not divide "
                                      f"{labels[t]!r}'s order")
-    powers.pop()
-
-    ot = orders[t]
     mult = _semidirect_table(codec.sum_table(), powers, ot)
     gen_elems = [(labels[g], codec.place[g] * ot) for g in range(t)]
     gen_elems.append((labels[t], 1 % len(mult)))

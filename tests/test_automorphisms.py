@@ -282,6 +282,23 @@ def test_regular_subgroup_in_cycle():
     assert res.group.order == 6 and res.group.is_regular()
 
 
+@pytest.mark.parametrize("vertex_order", [[0], [0, 1, 2, 3, 4], [1, 0, 2, 3, 4, 5],
+                                          [0, 1, 1, 3, 4, 5], [0, 1, 2, 3, 4, 6], []])
+def test_regular_subgroup_search_refuses_a_partial_vertex_order(vertex_order):
+    # C6 is Cayley: an order that skips vertices used to report a false
+    # exhausted search with no regular subgroup
+    aut = automorphism_group(cycle_graph(6)).group
+    with pytest.raises(ValueError, match="vertex order"):
+        regular_subgroup_search(aut, vertex_order=vertex_order)
+    res = regular_subgroup_search(aut, vertex_order=[0, 5, 4, 3, 2, 1])
+    assert res.group is not None and res.group.is_regular()
+
+
+def test_seeds_with_images_outside_the_graph_are_refused():
+    with pytest.raises(ValueError, match="not an automorphism"):
+        automorphism_group(cycle_graph(3), seeds=[(5, 1, 2)])
+
+
 def test_regular_subgroup_search_walks_every_stabilizer_element():
     # Haar(Z8, {0, 4}) is 4C4, a Cayley graph; a search that skips stabilizer
     # elements used to report exhaustion here without finding a regular group

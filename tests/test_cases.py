@@ -19,7 +19,7 @@ from haarcay.cases import (
     translate_free,
     verify_certificate,
 )
-from haarcay.graphs import cycle_graph, haar_graph
+from haarcay.graphs import Graph, cycle_graph, haar_graph
 from haarcay.groups import (
     GroupTable,
     connection_set,
@@ -228,6 +228,22 @@ def test_verify_certificate_rejects_tampering():
     bad[0] = tuple(p)
     cert.regular_generators = bad
     assert not verify_certificate(graph, cert)
+
+
+def test_verify_certificate_of_the_one_vertex_graph():
+    # K1 is Cayley on the trivial group: its regular subgroup has no generators
+    k1 = Graph(1)
+    cert = cayley_status(k1)
+    assert cert.verdict == "cayley" and cert.regular_generators == []
+    assert verify_certificate(k1, cert)
+    # ... but no generators on two vertices is a trivial, intransitive group
+    assert not verify_certificate(Graph(2), Certificate("cayley", regular_generators=[]))
+    assert not verify_certificate(k1, Certificate("cayley"))
+
+
+def test_verify_certificate_rejects_images_outside_the_graph():
+    triangle = cycle_graph(3)
+    assert not verify_certificate(triangle, Certificate("cayley", regular_generators=[(5, 1, 2)]))
 
 
 def test_verify_certificate_rejects_non_equitable_partition():

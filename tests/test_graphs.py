@@ -157,6 +157,9 @@ def test_is_automorphism_rejects_non_automorphisms():
     assert not path.is_automorphism((0, 1, 2))
     # on the edgeless graph every row maps to 0, so only the bijection check can fail
     assert not Graph(3).is_automorphism((0, 0, 1))
+    # images outside 0..n-1 are refused before any row is looked up
+    assert not cycle_graph(3).is_automorphism((5, 1, 2))
+    assert not cycle_graph(3).is_automorphism((-1, 1, 2))
 
 
 def test_lex_product_with_single_vertex():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from haarcay.cases import CATALOG, constructor_catalog
+from haarcay.cases import A4_SPEC, CATALOG, Z23_Z7_SPEC, Z24_Z5_SPEC, constructor_catalog
 from haarcay.groups import (
     GroupConstructionError,
     GroupTable,
@@ -40,11 +40,6 @@ from oracles import (
     inner_abelian_by_subgroup_enumeration,
 )
 
-A4_SPEC = {
-    "family": "Presented",
-    "ngens": 3,
-    "relators": ["xx", "yy", "zzz", "XYxy", "Zxzy", "ZyzXY"],
-}
 
 
 def small_catalog():
@@ -377,6 +372,44 @@ def test_element_index_ordering_is_documented_normal_form():
               if c.group["family"] in ("MillerMoreno", "Presented")]
     hashes = {H.tag: hashlib.sha256(repr(H.mult).encode()).hexdigest()[:12] for H in built}
     assert hashes == pinned
+
+
+def test_tables_outside_the_constructor_catalog_are_pinned():
+    # the shipped presentations, one-generator presentations and explicit
+    # action matrices, pinned by a short hash of (tag, gens, mult)
+    def digest(H):
+        return hashlib.sha256(repr((H.tag, H.gens, H.mult)).encode()).hexdigest()[:12]
+
+    built = {name: digest(group_from_spec(spec)) for name, spec in
+             (("A4", A4_SPEC), ("Z23_Z7", Z23_Z7_SPEC), ("Z24_Z5", Z24_Z5_SPEC))}
+    built.update((f"x^{k}", digest(presented_group(1, ["x" * k]))) for k in (1, 2, 5, 12))
+    for args, matrix in (((2, 2, 3, 1), [[0, 1], [1, 1]]), ((2, 2, 3, 2), [[1, 1], [1, 0]]),
+                         ((7, 1, 3, 1), [[4]]), ((3, 1, 2, 2), [[2]]),
+                         ((2, 3, 7, 1), [[0, 0, 1], [1, 0, 1], [0, 1, 0]])):
+        built[f"MillerMoreno{args}"] = digest(miller_moreno_group(*args, matrix=matrix))
+    assert built == {
+        "A4": "e90990d76fb2", "Z23_Z7": "cce3ba878348", "Z24_Z5": "da11dc81cad9",
+        "x^1": "e9782f4f5067", "x^2": "28ebbac7a355", "x^5": "fd5e003a456e",
+        "x^12": "08dba2af0ba1",
+        "MillerMoreno(2, 2, 3, 1)": "b31fa4d22760", "MillerMoreno(2, 2, 3, 2)": "c03943037286",
+        "MillerMoreno(7, 1, 3, 1)": "4bbe3d394526", "MillerMoreno(3, 1, 2, 2)": "3eeaf59c1ee2",
+        "MillerMoreno(2, 3, 7, 1)": "ccd33100ed79",
+    }
+
+
+@pytest.mark.parametrize("args, matrix, message", [
+    ((2, 2, 3, 1), [[1, 0], [0, 1]], "action matrix order is a proper divisor of q"),
+    ((2, 2, 3, 1), [[0, 0], [0, 0]], "action matrix does not have order q"),
+    ((7, 2, 3, 1), [[1, 0], [0, 2]], "action has a nonzero fixed vector"),
+    ((7, 2, 3, 1), [[1, 0], [0, 6]], "action matrix order is a proper divisor of q"),
+    ((7, 1, 3, 1), [[3]], "action matrix does not have order q"),
+    ((2, 2, 3, 1), [[1, 1]], "action matrix must be n x n"),
+    ((2, 2, 3, 1), [[1, 1], [0]], "action matrix must be n x n"),
+])
+def test_refused_action_matrices_keep_their_messages(args, matrix, message):
+    with pytest.raises(GroupConstructionError) as info:
+        miller_moreno_group(*args, matrix=matrix)
+    assert str(info.value) == message
 
 
 def test_random_catalog_axiom_spotchecks():
