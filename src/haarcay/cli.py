@@ -3,7 +3,8 @@
 Groups are given as inline FamilySpec JSON ('{"family":"MpMN1","p":3,...}'),
 as @path-to-json, or as compact names like MpMN1(3,1,1), Dihedral(7), Q8.
 Connection sets are comma-separated words over the group's named generators
-("1,a,a-1,b,ab").  HAARCAY_BUDGET sets the node budgets of aut, status, enumerate.
+("1,a,a-1,b,ab").  HAARCAY_BUDGET, a positive integer, sets the node budgets of
+aut, status, enumerate.
 
 Exit status is 0 only when every executed check passed, 1 when a check
 failed or a verdict is unknown, 2 for bad input, which prints one line to
@@ -46,9 +47,12 @@ def _budget(default: int) -> int:
     if not raw:
         return default
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        raise ValueError(f"HAARCAY_BUDGET must be an integer, got {raw!r}") from None
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"HAARCAY_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _load_group(spec: str) -> GroupTable:

@@ -63,7 +63,8 @@ class GroupTable:
 
     def validate(self) -> None:
         """Check the group axioms: Latin square, identity, inverses,
-        associativity (exhaustive up to order 100, sampled above)."""
+        associativity (exact up to order 100 by Light's test, sampled
+        above)."""
         n = self.order
         if n < 1 or n > TABLE_ORDER_CAP:
             raise GroupConstructionError(f"order {n} outside supported range 1..{TABLE_ORDER_CAP}")
@@ -81,8 +82,11 @@ class GroupTable:
             if self.mult[x][self.inv[x]] != 0:
                 raise GroupConstructionError(f"inverse table broken at {x}")
         if n <= _ASSOC_EXHAUSTIVE_CAP:
+            # Light's test: the elements a with (x*a)*y = x*(a*y) for all x, y
+            # are closed under products, so checking a generating set is exact
             triples: Iterable[tuple[int, int, int]] = (
-                (x, y, z) for x in range(n) for y in range(n) for z in range(n))
+                (x, a, y) for a in generating_sequence(self)
+                for x in range(n) for y in range(n))
         else:
             rng = random.Random(0xA550C)
             triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
@@ -276,65 +280,87 @@ def is_group_automorphism(H: GroupTable, images: Sequence[int]) -> bool:
 
 def generating_sequence(H: GroupTable) -> list[int]:
     """Greedy deterministic generating sequence (smallest new element first)."""
+    return _generator_walk(H)[0]
+
+
+def _generator_walk(G: GroupTable) -> tuple[list[int], list[tuple[list, list]]]:
+    """A greedy generating sequence g_1, g_2, ... (each the smallest element
+    not yet reached) and, per g_l, the edges x -> x*h (h among g_1..g_l) of a
+    breadth-first walk over <g_1..g_l> that no earlier level has seen, as
+    (steps, checks) lists of (x*h, x, h).  A step reaches a new element from
+    one reached before it; a check is any other new edge.  The edge 0 -> g_l
+    is neither: it is where g_l's image is chosen.  The walk only multiplies
+    on the right, so it also runs on a Latin square not yet known to be
+    associative."""
     gens: list[int] = []
-    closed = 1
-    while closed.bit_count() < H.order:
-        g = next(e for e in range(1, H.order) if not (closed >> e) & 1)
+    levels = []
+    reached = [0]
+    seen = 1
+    while len(reached) < G.order:
+        g = next(e for e in range(1, G.order) if not (seen >> e) & 1)
         gens.append(g)
-        closed = subgroup_generated(H, closed | (1 << g))
-    return gens
+        old = len(reached)
+        reached.append(g)
+        seen |= 1 << g
+        steps: list[tuple[int, int, int]] = []
+        checks: list[tuple[int, int, int]] = []
+        i = 0
+        while i < len(reached):
+            x = reached[i]
+            for h in (gens if i >= old else (g,)):
+                z = G.mult[x][h]
+                if not (seen >> z) & 1:
+                    seen |= 1 << z
+                    reached.append(z)
+                    steps.append((z, x, h))
+                elif x or h != g:
+                    checks.append((z, x, h))
+            i += 1
+        levels.append((steps, checks))
+    return gens, levels
 
 
 def _isomorphisms(G: GroupTable, H: GroupTable) -> Iterator[tuple[int, ...]]:
     """Every isomorphism G -> H (tables of equal order) as an image table.
-    Backtracks over the images of a generating sequence of G; each new image
-    is closed under products with the images already fixed, and a branch
-    dies as soon as a product clashes or two elements share an image."""
-    gens = generating_sequence(G)
+    Backtracks over the images of a generating sequence of G, candidates of
+    the right element order in increasing order.  A choice for g_l extends
+    the images along the steps of ``_generator_walk`` and survives when no
+    two elements share an image and every check holds: a map that respects
+    x -> x*h for every generator h respects every product, so the survivors
+    are exactly the injective homomorphisms on <g_1..g_l>."""
+    gens, levels = _generator_walk(G)
     by_order: dict[int, list[int]] = {}
     for e in range(H.order):
         by_order.setdefault(H.element_order(e), []).append(e)
+    cands = [by_order.get(G.element_order(g), []) for g in gens]
+    hm = H.mult
+    img = [0] * G.order  # each level writes only its own elements
 
-    def close(img: list[int], used: int, seed: int) -> Optional[tuple[list[int], int]]:
-        """Propagate products from a newly assigned generator image."""
-        known = [e for e in range(G.order) if img[e] >= 0]
-        queue = [seed]
-        while queue:
-            a = queue.pop()
-            for b in list(known):
-                for x, y in ((a, b), (b, a)):
-                    z = G.mult[x][y]
-                    iz = H.mult[img[x]][img[y]]
-                    if img[z] >= 0:
-                        if img[z] != iz:
-                            return None
-                    else:
-                        if (used >> iz) & 1:
-                            return None
-                        img[z] = iz
-                        used |= 1 << iz
-                        known.append(z)
-                        queue.append(z)
-        return img, used
-
-    def extend(level: int, img: list[int], used: int) -> Iterator[tuple[int, ...]]:
+    def extend(level: int, used: int) -> Iterator[tuple[int, ...]]:
         if level == len(gens):
-            if used.bit_count() == G.order:
-                yield tuple(img)
+            yield tuple(img)
             return
         g = gens[level]
-        for cand in by_order.get(G.element_order(g), ()):
+        steps, checks = levels[level]
+        for cand in cands[level]:
             if (used >> cand) & 1:
                 continue
-            img2 = list(img)
-            img2[g] = cand
-            res = close(img2, used | (1 << cand), g)
-            if res is not None:
-                yield from extend(level + 1, *res)
+            img[g] = cand
+            now = used | (1 << cand)
+            for z, x, h in steps:
+                iz = hm[img[x]][img[h]]
+                if (now >> iz) & 1:
+                    break
+                img[z] = iz
+                now |= 1 << iz
+            else:
+                for z, x, h in checks:
+                    if img[z] != hm[img[x]][img[h]]:
+                        break
+                else:
+                    yield from extend(level + 1, now)
 
-    start = [-1] * G.order
-    start[0] = 0
-    return extend(0, start, 1)
+    return extend(0, 1)
 
 
 def group_automorphisms(H: GroupTable) -> list[AutImages]:

@@ -82,6 +82,13 @@ def brute_force_graph_automorphisms(rows: list[int]) -> list[tuple[int, ...]]:
     return out
 
 
+def brute_force_is_associative(mult) -> bool:
+    """(x*y)*z = x*(y*z) for every triple, all n^3 of them."""
+    n = len(mult)
+    return all(mult[mult[x][y]][z] == mult[x][mult[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
 def brute_force_group_automorphisms(H: GroupTable) -> list[tuple[int, ...]]:
     n = H.order
     out = []

@@ -383,7 +383,9 @@ def test_cli_reproduce_without_arguments_lists_cases(capsys):
     (["build-group", "{bad"], None),
     (["status", "Q8", "--set", "1,q"], None),
     (["status", "Q8", "--set", "1,i"], "abc"),
-], ids=["bad-name", "bad-json", "bad-word", "bad-budget-env"])
+    (["status", "Q8", "--set", "1,i"], "0"),
+    (["status", "Q8", "--set", "1,i"], "-5"),
+], ids=["bad-name", "bad-json", "bad-word", "bad-budget-env", "zero-budget", "negative-budget"])
 def test_cli_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
     from haarcay.cli import main
     if env is not None:

@@ -7,6 +7,7 @@ from haarcay.cases import A4_SPEC, CATALOG, Z23_Z7_SPEC, Z24_Z5_SPEC, constructo
 from haarcay.groups import (
     GroupConstructionError,
     GroupTable,
+    _generator_walk,
     _isomorphisms,
     center_mask,
     connection_set,
@@ -37,6 +38,7 @@ from haarcay.groups import (
 from oracles import (
     all_subgroups,
     brute_force_group_automorphisms,
+    brute_force_is_associative,
     inner_abelian_by_subgroup_enumeration,
 )
 
@@ -89,6 +91,96 @@ def test_constraint_violations_are_reported():
 def test_axioms_hold_on_catalog():
     for H in small_catalog():
         H.validate()  # Latin square, identity, inverses, associativity
+
+
+def test_validate_rejects_a_non_associative_loop():
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    assert not brute_force_is_associative(loop)
+    with pytest.raises(GroupConstructionError, match="associativity"):
+        GroupTable(loop)
+
+
+def _random_loop_table(n: int, rng: random.Random) -> list[list[int]]:
+    """A random Latin square on 0..n-1 whose row and column 0 are the
+    identity, filled cell by cell in random symbol order with backtracking."""
+    rows = [list(range(n))] + [[i] + [-1] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k: int) -> bool:
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        taken = set(rows[i][:j]) | {rows[r][j] for r in range(i)}
+        options = [v for v in range(n) if v not in taken]
+        rng.shuffle(options)
+        for v in options:
+            rows[i][j] = v
+            if fill(k + 1):
+                return True
+        rows[i][j] = -1
+        return False
+
+    assert fill(0)
+    return rows
+
+
+def _switched_intercalates(H: GroupTable) -> list[list[list[int]]]:
+    """Copies of H's table with one 2x2 subsquare [[a,b],[b,a]] away from row
+    and column 0 switched to [[b,a],[a,b]]: still Latin squares with
+    identity, one cell pair away from a group."""
+    n = H.order
+    out = []
+    for x1 in range(1, n):
+        for x2 in range(x1 + 1, n):
+            for y1 in range(1, n):
+                y2 = H.mult[H.inv[x1]][H.mult[x2][y1]]  # x1*y2 = x2*y1
+                if y2 > y1 and H.mult[x1][y1] == H.mult[x2][y2]:
+                    mult = [list(row) for row in H.mult]
+                    mult[x1][y1], mult[x1][y2] = mult[x1][y2], mult[x1][y1]
+                    mult[x2][y1], mult[x2][y2] = mult[x2][y2], mult[x2][y1]
+                    out.append(mult)
+    return out
+
+
+def _validates(mult) -> bool:
+    try:
+        GroupTable(mult)
+    except GroupConstructionError as exc:
+        assert "associativity fails at" in str(exc)
+        return False
+    return True
+
+
+def test_validate_agrees_with_the_cubic_associativity_oracle():
+    """Light's test checks (x*a)*y = x*(a*y) for the generators a only; on
+    random loops, on group tables and on tables one switch away from a group
+    it accepts exactly the associative ones."""
+    rng = random.Random(3)
+    tables = [_random_loop_table(n, rng) for n in range(1, 8) for _ in range(40)]
+    for H in constructor_catalog(12):
+        tables.append(H.mult)
+        switched = _switched_intercalates(H)
+        tables.extend(rng.sample(switched, min(3, len(switched))))
+    verdicts = [(_validates(m), brute_force_is_associative(m)) for m in tables]
+    assert all(fast == slow for fast, slow in verdicts)
+    assert {fast for fast, _ in verdicts} == {True, False}
+
+
+def test_generator_walk_sees_every_generator_edge_once():
+    """Across the levels, the steps, the checks and the edges 0 -> g_l are
+    the edges x -> x*g of the whole group, each exactly once, and the steps
+    reach every element but the identity and the generators exactly once."""
+    for H in constructor_catalog(16):
+        gens, levels = _generator_walk(H)
+        edges = [(0, g) for g in gens]
+        reached = []
+        for steps, checks in levels:
+            for z, x, h in steps + checks:
+                assert z == H.mult[x][h], H.tag
+                edges.append((x, h))
+            reached.extend(z for z, _, _ in steps)
+        assert sorted(edges) == [(x, h) for x in range(H.order) for h in sorted(gens)], H.tag
+        assert sorted(reached + gens + [0]) == list(range(H.order)), H.tag
 
 
 def test_multiply_identity_and_element_orders():
@@ -166,6 +258,17 @@ def test_group_isomorphisms_from_presentations():
     assert group_isomorphism(quaternion_group(), dihedral_group(4)) is None
 
 
+def _relabelled(H: GroupTable, rng: random.Random) -> tuple[list[int], GroupTable]:
+    """A copy of H with the non-identity elements renamed by a random sigma."""
+    n = H.order
+    sigma = [0] + rng.sample(range(1, n), n - 1)
+    mult = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            mult[sigma[x]][sigma[y]] = sigma[H.mult[x][y]]
+    return sigma, GroupTable(mult, tag="relabelled")
+
+
 def test_isomorphisms_onto_a_relabelled_copy():
     """The one backtrack behind group_isomorphism and group_automorphisms:
     onto a copy with shuffled element names, it finds a homomorphism, and the
@@ -173,12 +276,7 @@ def test_isomorphisms_onto_a_relabelled_copy():
     rng = random.Random(11)
     for H in constructor_catalog(12):
         n = H.order
-        sigma = [0] + rng.sample(range(1, n), n - 1)
-        mult = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                mult[sigma[x]][sigma[y]] = sigma[H.mult[x][y]]
-        K = GroupTable(mult, tag="relabelled")
+        sigma, K = _relabelled(H, rng)
         phi = group_isomorphism(H, K)
         assert phi is not None and sorted(phi) == list(range(n)), H.tag
         assert all(phi[H.mult[x][y]] == K.mult[phi[x]][phi[y]]
@@ -187,6 +285,35 @@ def test_isomorphisms_onto_a_relabelled_copy():
         auts = group_automorphisms(H)
         assert len(isos) == len(auts), H.tag
         assert set(isos) == {tuple(sigma[a[x]] for x in range(n)) for a in auts}, H.tag
+
+
+# the six groups of order 16-36 behind the benchmark's status workload, with
+# |Aut| as the pairwise-closing backtrack this enumerator replaced computed it
+STATUS_GROUP_AUT_COUNTS = [
+    ("MpMN1(3,1,1)", {"family": "MpMN1", "p": 3, "m": 1, "n": 1}, 432),
+    ("MpMN1(2,2,2)", {"family": "MpMN1", "p": 2, "m": 2, "n": 2}, 384),
+    ("Q8xZ2", {"family": "DirectProduct",
+               "factors": [{"family": "Quaternion"}, {"family": "Cyclic", "n": 2}]}, 192),
+    ("Z2xZ2xZ4", {"family": "DirectProduct",
+                  "factors": [{"family": "Cyclic", "n": 2}, {"family": "Cyclic", "n": 2},
+                              {"family": "Cyclic", "n": 4}]}, 192),
+    ("MillerMoreno(2,2,3,2)", {"family": "MillerMoreno", "p": 2, "n": 2, "q": 3, "m": 2}, 72),
+    ("Dihedral(8)", {"family": "Dihedral", "n": 8}, 32),
+]
+
+
+@pytest.mark.parametrize("spec, count", [row[1:] for row in STATUS_GROUP_AUT_COUNTS],
+                         ids=[row[0] for row in STATUS_GROUP_AUT_COUNTS])
+def test_automorphisms_of_the_status_groups(spec, count):
+    """Every map is an automorphism by the full n^2 check, none repeats, and
+    onto a relabelled copy the isomorphisms are sigma after each of them."""
+    H = group_from_spec(spec)
+    n = H.order
+    auts = group_automorphisms(H)
+    assert len(auts) == len(set(auts)) == count
+    assert all(is_group_automorphism(H, a) for a in auts)
+    sigma, K = _relabelled(H, random.Random(count))
+    assert sorted(_isomorphisms(H, K)) == sorted(tuple(sigma[a[x]] for x in range(n)) for a in auts)
 
 
 def test_presented_matches_canonical_action():
