@@ -15,7 +15,16 @@ edge-preserving before use.  Such an automorphism fixes the prefix the two
 paths share and maps the finished sibling subtree below it onto the current
 one, so the search jumps back to that common ancestor (McKay & Piperno,
 "Practical graph isomorphism, II", 2014).  The minimal leaf key doubles as
-a canonical form.
+a canonical form.  Once the subtree of a node on the first path is done, the
+automorphisms found generate its stabilizer, so the orbit of its first child
+under those fixing its prefix is one factor of |Aut|: the search reads the
+group order off the first path, and no Schreier-Sims run is needed for it.
+
+Twins come out before the search: vertices of one colour with equal open
+(else equal closed) neighbourhoods are interchangeable, so each twin class
+merges into one vertex coloured by (colour, class size), until no twins are
+left.  Aut of the graph is the lift of Aut of that coloured quotient times
+the symmetric group of every class (Sabidussi, Duke Math. J. 28, 1961).
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .bicayley import (
@@ -78,16 +88,18 @@ class AutResult:
     canonical: Perm          # vertex -> canonical position
     canonical_key: tuple
     nodes: int
+    order: int               # |Aut|, read off the search
     _group: Optional[PermGroup] = field(default=None, repr=False)
 
     @property
     def group(self) -> PermGroup:
         """Base-and-strong-generating-set view with vertex 0 as the first
         base point, so the regular search can use it as it is; built on first
-        use (orbits and canonical data never need it)."""
+        use (orbits, order and canonical data never need it), and stopped at
+        the known order."""
         if self._group is None:
             self._group = PermGroup(self.degree, self.generators,
-                                    base_prefix=[0] if self.degree else [])
+                                    base_prefix=[0] if self.degree else [], order=self.order)
         return self._group
 
 
@@ -95,34 +107,36 @@ class AutResult:
 class _Frame:
     """A branching node on the current path: its equitable cells, the cell it
     branches on, the children left to try and those explored (the last is on
-    the path), and the orbits of found automorphisms fixing its prefix."""
+    the path), the orbits of found automorphisms fixing its prefix, and
+    whether it lies on the first path."""
     cells: list[list[int]]
     target: int
     children: Iterator[int]
     orbits: _OrbitCache
+    on_first_path: bool
     explored: list[int] = field(default_factory=list)
 
 
 class _AutSearch:
-    def __init__(self, graph: Graph, seeds: Sequence[Perm], budget: int):
+    """The search on a graph with an initial colouring (ordered cells) and
+    seeds that are already known to be colour-preserving automorphisms."""
+
+    def __init__(self, graph: Graph, cells: list[list[int]], seeds: Sequence[Perm],
+                 budget: int):
         self.graph = graph
         self.n = graph.n
+        self.cells = cells
         self.budget = budget
         self.nodes = 0
-        self.gens: list[Perm] = []
-        for s in seeds:
-            s = tuple(s)
-            if not is_identity(s) and s not in self.gens:
-                if not graph.is_automorphism(s):
-                    raise ValueError("seed permutation is not an automorphism")
-                self.gens.append(s)
+        self.order = 1
+        self.gens: list[Perm] = list(seeds)
         self.first: Optional[tuple[Perm, tuple, list[int]]] = None
         self.best: Optional[tuple[Perm, tuple, list[int]]] = None
 
     def run(self) -> AutResult:
         if self.n == 0:
-            return AutResult(0, [], [], (), (), 0)
-        cells = _refine(self.graph.rows, [list(range(self.n))], [(1 << self.n) - 1])
+            return AutResult(0, [], [], (), (), 0, 1)
+        cells = _refine(self.graph.rows, self.cells, [mask_of(c) for c in self.cells])
         stack: list[_Frame] = []
         while cells is not None:
             self.nodes += 1
@@ -135,16 +149,19 @@ class _AutSearch:
             else:
                 prefix = [f.explored[-1] for f in stack]
                 stack.append(_Frame(cells, target, iter(cells[target]),
-                                    _OrbitCache(self.n, prefix)))
+                                    _OrbitCache(self.n, prefix), self.first is None))
             cells = self._next_child(stack)
         root = _OrbitCache(self.n, ())
         root.update(self.gens)
         return AutResult(self.n, list(self.gens), root.partition(),
-                         self.best[0], self.best[1], self.nodes)
+                         self.best[0], self.best[1], self.nodes, self.order)
 
     def _next_child(self, stack: list[_Frame]) -> Optional[list[list[int]]]:
         """Cells of the next unpruned child of the deepest unfinished frame,
-        popping finished frames; None once the stack is empty."""
+        popping finished frames; None once the stack is empty.  A finished
+        frame on the first path multiplies the order by the orbit of its
+        first child (jumps back never remove such a frame: every leaf they
+        compare with lies below it)."""
         while stack:
             top = stack[-1]
             for v in top.children:
@@ -156,6 +173,9 @@ class _AutSearch:
                 rest = [u for u in top.cells[top.target] if u != v]
                 child = top.cells[:top.target] + [[v], rest] + top.cells[top.target + 1:]
                 return _refine(self.graph.rows, child, [1 << v, mask_of(rest)])
+            if top.on_first_path:
+                top.orbits.update(self.gens)
+                self.order *= top.orbits.size[top.orbits.find(top.explored[0])]
             stack.pop()
         return None
 
@@ -187,13 +207,121 @@ class _AutSearch:
             self.best = (perm, key, path)
 
 
+def _twin_classes(rows: Sequence[int], colours: Sequence) -> Optional[list[list[int]]]:
+    """The classes of vertices of one colour with equal open neighbourhoods,
+    or, when those are all singletons, with equal closed ones; each class in
+    increasing order, the classes in order of their smallest member.  None
+    when there are no twins."""
+    for closed in (0, 1):
+        hoods = [row | (closed << v) for v, row in enumerate(rows)] if closed else rows
+        if len(set(hoods)) == len(rows):
+            continue
+        classes: dict[tuple, list[int]] = {}
+        for v, hood in enumerate(hoods):
+            classes.setdefault((colours[v], hood), []).append(v)
+        if len(classes) < len(rows):
+            return list(classes.values())
+    return None
+
+
+def _twin_quotient(graph: Graph, classes: list[list[int]]) -> tuple[Graph, list[int]]:
+    """The graph with each twin class merged into one vertex (vertex i is
+    class i), and the class of every vertex."""
+    class_of = [0] * graph.n
+    for i, members in enumerate(classes):
+        for v in members:
+            class_of[v] = i
+    rows = [mask_of(class_of[u] for u in elements_of(graph.rows[members[0]])) & ~(1 << i)
+            for i, members in enumerate(classes)]
+    return Graph(len(classes), rows, validate=False), class_of
+
+
+def _lift_quotient_perms(gens: Sequence[Perm], classes: list[list[int]]) -> list[Perm]:
+    """Quotient permutations lifted so that member k of a class goes to
+    member k of its image class."""
+    n = sum(len(members) for members in classes)
+    lifted = []
+    for q in gens:
+        p = [0] * n
+        for c, members in enumerate(classes):
+            for x, y in zip(members, classes[q[c]]):
+                p[x] = y
+        lifted.append(tuple(p))
+    return lifted
+
+
+def _cycles(n: int, cycles: Iterable[Sequence[int]]) -> Perm:
+    """The permutation of 0..n-1 with the given disjoint cycles."""
+    p = list(range(n))
+    for cycle in cycles:
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            p[x] = y
+    return tuple(p)
+
+
+def _class_permutations(classes: list[list[int]]) -> list[Perm]:
+    """A transposition and a full cycle of each class of two or more
+    members; together they generate the symmetric group of every class."""
+    n = sum(len(members) for members in classes)
+    out = []
+    for members in classes:
+        if len(members) > 1:
+            out.append(_cycles(n, [members[:2]]))
+        if len(members) > 2:
+            out.append(_cycles(n, [members]))
+    return out
+
+
 def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
                        budget: int = IR_BUDGET) -> AutResult:
-    """Full automorphism group with orbit partition and canonical labelling.
-    ``seeds`` may carry already-known automorphisms.  They are verified and
-    join ``generators``, and may prune more of the search, but they change
-    neither the orbits, nor the group, nor the canonical key."""
-    return _AutSearch(graph, seeds, budget).run()
+    """Full automorphism group with orbit partition, order and canonical
+    labelling.  ``seeds`` may carry already-known automorphisms.  They are
+    verified and join ``generators``, and may prune more of the search, but
+    they change neither the orbits, nor the group, nor the canonical key.
+
+    Twin classes are merged first, recursively; the search runs on the
+    coloured quotient, whose nodes ``nodes`` counts.  Its generators are
+    lifted member by member and joined by a transposition and a cycle per
+    class, the order gains m! per class of size m, and the canonical
+    labelling and the orbits are expanded class by class.  A graph without
+    twins is searched as it is."""
+    gens: list[Perm] = []
+    for s in seeds:
+        s = tuple(s)
+        if not is_identity(s) and s not in gens:
+            if not graph.is_automorphism(s):
+                raise ValueError("seed permutation is not an automorphism")
+            gens.append(s)
+    levels: list[list[list[int]]] = []
+    quotient, colours, projected = graph, [0] * graph.n, gens
+    while (classes := _twin_classes(quotient.rows, colours)) is not None:
+        levels.append(classes)
+        quotient, class_of = _twin_quotient(quotient, classes)
+        images = (tuple(class_of[s[members[0]]] for members in classes) for s in projected)
+        projected = [q for q in dict.fromkeys(images) if not is_identity(q)]
+        colours = [(colours[members[0]], len(members)) for members in classes]
+    if not levels:
+        return _AutSearch(graph, [list(range(graph.n))], gens, budget).run()
+    cells: dict = {}
+    for v, colour in enumerate(colours):
+        cells.setdefault(colour, []).append(v)
+    result = _AutSearch(quotient, [cells[c] for c in sorted(cells)], projected, budget).run()
+    found, order = result.generators[len(projected):], result.order
+    canonical, orbits = result.canonical, result.orbits
+    for classes in reversed(levels):
+        found = _lift_quotient_perms(found, classes) + _class_permutations(classes)
+        for members in classes:
+            order *= factorial(len(members))
+        pos = [0] * sum(len(members) for members in classes)
+        nxt = 0
+        for c in pinv(canonical):
+            for v in classes[c]:
+                pos[v] = nxt
+                nxt += 1
+        canonical = tuple(pos)
+        orbits = [sorted(v for c in orbit for v in classes[c]) for orbit in orbits]
+    return AutResult(graph.n, gens + found, orbits, canonical,
+                     tuple(graph.relabel(canonical).rows), result.nodes, order)
 
 
 def is_vertex_transitive(graph: Graph, seeds: Sequence[Perm] = (),
@@ -434,6 +562,14 @@ def _lift_to_copies(gens: Sequence[Perm], copies: list[list[int]],
     return lifted
 
 
+def _lift_to_twins(gens: Sequence[Perm], classes: list[list[int]]) -> list[Perm]:
+    """Generators of R x Z_m on a graph whose twin classes all have m
+    members, from generators of R on the twin quotient: each lifted member
+    by member, and one cyclic shift of the members of every class."""
+    shift = _cycles(sum(len(members) for members in classes), classes)
+    return _lift_quotient_perms(gens, classes) + [shift]
+
+
 def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
                   ir_budget: int = IR_BUDGET,
                   regular_budget: int = REGULAR_BUDGET) -> Certificate:
@@ -444,17 +580,23 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     vertex-transitivity (intransitive means NonCayley); then, when provenance
     hints are present, the part-swap certificate (the right translations and
     a part-swapping map whose square is a translation); then the regular
-    stage, which reduces, filters and searches.  Reduce: when the graph or
-    its complement is disconnected, the graph is made of m copies of one
-    graph Z, and it is Cayley exactly when Z is; the stage goes on with the
-    copy holding vertex 0, after its own automorphism search (each within
-    ``ir_budget``), until neither Z nor its complement is disconnected.
-    Filter and search: ``regular_subgroup_search`` in Z's automorphism
-    group.  A regular group R of Z lifts to R x Z_m, with the copy maps read
-    from a breadth-first Schreier tree of vertex 0 over the generators of
-    Aut, and the lift is checked on the graph itself; an exhausted search on
-    Z is one on the graph.  Unknown only on budget exhaustion.  Hints whose
-    Haar graph is not the graph given raise ``ValueError``.
+    stage, which reduces, filters and searches.  Reduce, copies first: when
+    the graph or its complement is disconnected, the graph is made of m
+    copies of one graph Z, and it is Cayley exactly when Z is; else, when it
+    has twin classes (all of one size m, as it is vertex-transitive), it is
+    Y[E_m] or Y[K_m] for its twin quotient Y, and it is Cayley when Y is.
+    The stage goes on with the copy holding vertex 0, or with Y, after its
+    own automorphism search (each within ``ir_budget``), until no reduction
+    applies.  Filter and search: ``regular_subgroup_search`` in Z's
+    automorphism group.  A regular group R of Z lifts to R x Z_m: over
+    copies with the copy maps read from a breadth-first Schreier tree of
+    vertex 0 over the generators of Aut, over twins member by member with a
+    cyclic shift of every class; the lift is checked on the graph itself.
+    An exhausted search on a copy is one on the graph.  The twin law holds
+    one way only, so a twin reduction that yields no regular group is
+    followed by the regular search on the graph it reduced.  Unknown only
+    on budget exhaustion.  Hints whose Haar graph is not the graph given
+    raise ``ValueError``.
     """
     t0 = time.perf_counter()
     seeds: list[Perm] = []
@@ -478,11 +620,17 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
                                swap_witness=witness, nodes=aut.nodes,
                                millis=(time.perf_counter() - t0) * 1000)
     nodes = aut.nodes
-    reductions: list[tuple[list[Perm], list[list[int]]]] = []
+    reductions: list[tuple[bool, Graph, AutResult, list[list[int]]]] = []
     z, z_aut = graph, aut
-    while (copies := _copies(z)) is not None:
-        reductions.append((z_aut.generators, copies))
-        z = _induced(z, copies[0])
+    while True:
+        if (parts := _copies(z)) is not None:
+            twins, smaller = False, _induced(z, parts[0])
+        elif (parts := _twin_classes(z.rows, [0] * z.n)) is not None:
+            twins, smaller = True, _twin_quotient(z, parts)[0]
+        else:
+            break
+        reductions.append((twins, z, z_aut, parts))
+        z = smaller
         try:
             z_aut = automorphism_group(z, budget=ir_budget)
         except BudgetExceeded as exc:
@@ -490,15 +638,24 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
                                nodes=nodes, millis=(time.perf_counter() - t0) * 1000)
         nodes += z_aut.nodes
         if len(z_aut.orbits) > 1:
-            raise RuntimeError("a copy in a vertex-transitive graph is intransitive")
+            raise RuntimeError("a reduction of a vertex-transitive graph is intransitive")
     outcome = regular_subgroup_search(z_aut.group, budget=regular_budget,
                                       vertex_order=_bfs_vertex_order(z))
     nodes += outcome.nodes
-    group = outcome.group
-    if group is not None and reductions:
-        gens = group.generators
-        for aut_gens, copies in reversed(reductions):
-            gens = _lift_to_copies(gens, copies, aut_gens)
+    group, exhausted = outcome.group, outcome.exhausted
+    gens = None if group is None else group.generators
+    for twins, parent, parent_aut, parts in reversed(reductions):
+        if gens is not None:
+            gens = _lift_to_twins(gens, parts) if twins else \
+                _lift_to_copies(gens, parts, parent_aut.generators)
+            group = None
+        elif twins:
+            outcome = regular_subgroup_search(parent_aut.group, budget=regular_budget,
+                                              vertex_order=_bfs_vertex_order(parent))
+            nodes += outcome.nodes
+            group, exhausted = outcome.group, outcome.exhausted
+            gens = None if group is None else group.generators
+    if gens is not None and group is None:
         group = PermGroup(graph.n, gens)
         if not group.is_regular():
             raise RuntimeError("lifted regular group is not regular")
@@ -508,7 +665,7 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
             raise RuntimeError("regular subgroup generator is not an automorphism")
         return Certificate("cayley", regular_generators=list(group.generators),
                            nodes=nodes, millis=millis)
-    if outcome.exhausted:
+    if exhausted:
         return Certificate("non_cayley", exhausted_search=True, nodes=nodes, millis=millis)
     return Certificate("unknown",
                        budget_report={"stage": "regular subgroup search",

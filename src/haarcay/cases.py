@@ -365,7 +365,7 @@ def run_case(case: CaseSpec) -> dict:
         verdict = "not_vertex_transitive" if len(result.orbits) > 1 else "vertex_transitive"
         certificate = {
             "vertices": graph.n,
-            "aut_order": result.group.order,
+            "aut_order": result.order,
             "orbit_sizes": sorted(len(o) for o in result.orbits),
             "translate_fixers": _translate_fixers(H, S),
         }

@@ -19,6 +19,12 @@ exactly those of the construction that re-sifts every pair, so ``elements``
 and everything built on it keep their order (Holt, Eick & O'Brien, Handbook
 of Computational Group Theory, 2005, ch. 4).
 
+When the group order is known in advance (``order=``), the construction
+stops as soon as the product of the transversal sizes reaches it.  That
+product never exceeds |G|, and a partial BSGS whose product equals |G| is
+complete: every Schreier pair left would sift to the identity, so the base,
+level generators and transversals are again exactly those of the full run.
+
 Composition convention: ``pmul(p, q)`` applies p first, then q
 (image-style actions, x^(pq) = (x^p)^q).
 """
@@ -99,15 +105,16 @@ def _schreier_tree(point: int, pairs: Sequence[tuple[Perm, Perm]],
 
 class _OrbitCache:
     """Union-find orbits of the generators that fix every point of a prefix
-    (all of them for an empty prefix).  Updates are incremental: only
-    generators added since the last call are inspected (the prefix is fixed
-    for the cache's lifetime)."""
+    (all of them for an empty prefix), with the size of each orbit at its
+    root.  Updates are incremental: only generators added since the last
+    call are inspected (the prefix is fixed for the cache's lifetime)."""
 
     def __init__(self, n: int, prefix: Sequence[int]):
         self.n = n
         self.prefix = prefix
         self.gen_count = 0
         self.parent = list(range(n))
+        self.size = [1] * n
 
     def find(self, x: int) -> int:
         p = self.parent
@@ -124,6 +131,7 @@ class _OrbitCache:
                         rx, ry = self.find(x), self.find(y)
                         if rx != ry:
                             self.parent[ry] = rx
+                            self.size[rx] += self.size[ry]
         self.gen_count = len(gens)
 
     def partition(self) -> list[list[int]]:
@@ -155,7 +163,7 @@ class PermGroup:
     order, membership, orbits and stabilizers."""
 
     def __init__(self, degree: int, generators: Iterable[Perm] = (),
-                 base_prefix: Sequence[int] = ()):
+                 base_prefix: Sequence[int] = (), order: Optional[int] = None):
         self.degree = degree
         self._identity = identity_perm(degree)
         gens = []
@@ -170,11 +178,13 @@ class PermGroup:
         self.generators: list[Perm] = gens
         self._levels: list[_Level] = []
         self._gen_inverses: dict[Perm, Perm] = {}
-        self._build(base_prefix)
+        self._build(base_prefix, order)
+        if order is not None and self.order != order:
+            raise ValueError(f"group order {self.order} differs from the order {order} given")
 
     # -- construction ---------------------------------------------------------
 
-    def _build(self, base_prefix: Sequence[int]) -> None:
+    def _build(self, base_prefix: Sequence[int], order: Optional[int]) -> None:
         for b in base_prefix:
             self._levels.append(_Level(b))
         for g in self.generators:
@@ -185,7 +195,7 @@ class PermGroup:
                                  for j in range(i))]
             self._orbit_transversal(level)
         i = len(self._levels) - 1
-        while i >= 0:
+        while i >= 0 and (order is None or self.order < order):
             jump = self._process_level(i)
             i = i - 1 if jump is None else jump
 
@@ -315,15 +325,17 @@ class PermGroup:
         return self.is_transitive() and self.order == self.degree
 
     def stabilizer(self, v: int) -> "PermGroup":
-        """Point stabilizer, via a base change putting v first."""
+        """Point stabilizer, via a base change putting v first; both builds
+        stop at the order they already know: |G|, and |G| over the orbit of v."""
         if not 0 <= v < self.degree:
             raise ValueError("point out of range")
         rebased = self if (self._levels and self._levels[0].point == v) else \
-            PermGroup(self.degree, self.generators, base_prefix=[v])
+            PermGroup(self.degree, self.generators, base_prefix=[v], order=self.order)
         if not rebased._levels:
             return PermGroup(self.degree)
         gens = [g for g in rebased._strong_generators() if g[v] == v]
-        return PermGroup(self.degree, gens)
+        return PermGroup(self.degree, gens,
+                         order=rebased.order // len(rebased._levels[0].transversal))
 
     def _strong_generators(self) -> list[Perm]:
         seen = set()

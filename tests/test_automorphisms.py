@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from haarcay.automorphisms import (
     Certificate,
     _bfs_vertex_order,
+    _twin_classes,
     are_isomorphic,
     automorphism_group,
     cayley_status,
@@ -162,10 +163,27 @@ def test_canonical_form_invariant_under_relabeling():
             assert key == key0
 
 
+def spider(legs):
+    """A centre joined to a_i and each a_i to its own b_i: connected and
+    twin-free, and the first path of its search individualizes one leg per
+    level."""
+    g = Graph(2 * legs + 1)
+    for i in range(1, legs + 1):
+        g.add_edge(0, i)
+        g.add_edge(i, legs + i)
+    return g
+
+
 def test_deep_search_ends_on_budget_not_recursion_limit():
-    # the first path of E1100 individualizes 1099 vertices, one per level
+    # the first path of the 1,100-leg spider is 1,100 nodes deep
     with pytest.raises(BudgetExceeded):
-        automorphism_group(empty_graph(1100), budget=1200)
+        automorphism_group(spider(1100), budget=1200)
+
+
+def test_empty_graph_is_one_twin_class():
+    res = automorphism_group(empty_graph(1100), budget=1)
+    assert res.nodes == 1 and res.order == math.factorial(1100)
+    assert res.orbits == [list(range(1100))]
 
 
 @pytest.mark.parametrize("H", [direct_product([quaternion_group(), cyclic_group(2)]),
@@ -511,6 +529,97 @@ def test_lex_product_aut_order_law_small():
             expected = math.factorial(n) ** base.n * aut_base
             assert automorphism_group(blown).group.order == expected
         checked += 1
+
+
+def test_search_order_agrees_with_sympy():
+    """The order read off the first path of the search, against sympy's
+    order of the generators, on Haar graphs, random graphs and their twin
+    substitutions X[E_m], X[K_m] and (X[E_m])[K_k]."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    rng = random.Random(16)
+    graphs = [haar_graph(H, rng.randrange(1 << H.order) | 1)[0] for H in constructor_catalog(16)]
+    for _ in range(25):
+        x = random_graph(rng.randrange(1, 8), rng.choice([0.3, 0.5, 0.7]), rng)
+        m, k = rng.randrange(2, 4), rng.randrange(2, 4)
+        graphs += [x, lex_product(x, empty_graph(m)), lex_product(x, complete_graph(m)),
+                   lex_product(lex_product(x, empty_graph(m)), complete_graph(k))]
+    for g in graphs:
+        res = automorphism_group(g)
+        assert all(g.is_automorphism(p) for p in res.generators)
+        sym = PermutationGroup([Permutation(list(p)) for p in res.generators]
+                               or [Permutation(g.n - 1)])
+        assert res.order == sym.order(), g
+
+
+def _conjugate(p, perm):
+    """p as an automorphism of the graph relabelled by perm."""
+    inv = [0] * len(perm)
+    for v, w in enumerate(perm):
+        inv[w] = v
+    return tuple(perm[p[inv[x]]] for x in range(len(perm)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_twin_substitutions_keep_canonical_key_and_seeds(data):
+    """A relabelled twin substitution has the same canonical key and order,
+    and automorphisms passed as seeds survive the projection to the twin
+    quotient: they stay among the generators and change nothing else."""
+    n = data.draw(st.integers(1, 6), label="n")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]),
+                      label="edges")
+    g = Graph.from_edges(n, edges)
+    for _ in range(data.draw(st.integers(1, 2), label="depth")):
+        filler = data.draw(st.sampled_from([empty_graph, complete_graph]), label="filler")
+        g = lex_product(g, filler(data.draw(st.integers(2, 3), label="m")))
+    perm = data.draw(st.permutations(range(g.n)), label="perm")
+    h = g.relabel(perm)
+    res, moved = automorphism_group(g), automorphism_group(h)
+    assert moved.canonical_key == res.canonical_key and moved.order == res.order
+    assert h.relabel(moved.canonical) == g.relabel(res.canonical)
+    seeds = [_conjugate(p, perm) for p in res.generators[:3]]
+    seeded = automorphism_group(h, seeds)
+    assert seeded.generators[:len(seeds)] == seeds
+    assert seeded.order == moved.order and seeded.canonical_key == moved.canonical_key
+    assert sorted(seeded.orbits) == sorted(moved.orbits)
+
+
+def test_hinted_seeds_survive_the_twin_quotient():
+    """Right translations of a Haar graph with twins project to the
+    quotient; the result equals the unseeded one apart from generators."""
+    checked = 0
+    for H in constructor_catalog(12):
+        seeds = [p for p in map(tuple, right_translation_group_perms(H)) if p != tuple(range(len(p)))]
+        for S in (mask_of([0, H.order // 2]), mask_of(range(H.order // 2)) | 1):
+            g, _ = haar_graph(H, S)
+            if _twin_classes(g.rows, [0] * g.n) is None:
+                continue
+            checked += 1
+            plain, seeded = automorphism_group(g), automorphism_group(g, seeds)
+            assert seeded.generators[:len(seeds)] == seeds
+            assert seeded.order == plain.order and seeded.orbits == plain.orbits
+            assert seeded.canonical_key == plain.canonical_key
+    assert checked > 10
+
+
+def test_generic_status_lifts_a_twin_quotient():
+    """C5[E4] has twin classes of 4 over C5: Z5 on C5 lifts to Z5 x Z4.
+    Searching the whole graph took millions of regular-search nodes."""
+    g = lex_product(cycle_graph(5), empty_graph(4))
+    for h in [g, *_relabelled_copies(g, 3, random.Random(5))]:
+        cert = cayley_status(h)
+        assert cert.verdict == "cayley" and verify_certificate(h, cert)
+        assert cert.nodes < 100
+
+
+def test_generic_status_falls_back_when_the_twin_quotient_is_not_cayley():
+    """The Petersen graph is not Cayley, but Petersen[E2] is: the twin law
+    holds one way only, and the search on the whole graph decides it."""
+    g = lex_product(petersen(), empty_graph(2))
+    cert = cayley_status(g, regular_budget=50_000)
+    assert cert.verdict == "cayley" and verify_certificate(g, cert)
 
 
 def test_certificate_json_roundtrip():

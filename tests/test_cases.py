@@ -19,7 +19,7 @@ from haarcay.cases import (
     translate_free,
     verify_certificate,
 )
-from haarcay.graphs import Graph, cycle_graph, haar_graph
+from haarcay.graphs import Graph, cycle_graph, haar_graph, write_edge_list
 from haarcay.groups import (
     GroupTable,
     connection_set,
@@ -445,8 +445,9 @@ def test_cli_aut_budget_env_yields_unknown(tmp_path, capsys, monkeypatch):
 
 def test_cli_aut_deep_search_yields_unknown(tmp_path, capsys, monkeypatch):
     from haarcay.cli import main
-    edges = tmp_path / "e1100.txt"
-    edges.write_text("1100 0\n", encoding="utf-8")
+    from test_automorphisms import spider
+    edges = tmp_path / "spider1100.txt"
+    edges.write_text(write_edge_list(spider(1100)), encoding="utf-8")
     monkeypatch.setenv("HAARCAY_BUDGET", "1200")
     assert main(["aut", str(edges)]) == 1
     captured = capsys.readouterr()
@@ -454,8 +455,30 @@ def test_cli_aut_deep_search_yields_unknown(tmp_path, capsys, monkeypatch):
     lines = captured.out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {
-        "verdict": "unknown", "vertices": 1100,
+        "verdict": "unknown", "vertices": 2201,
         "budget_report": {"stage": "automorphism search", "budget": 1200}}
+
+
+def test_cli_aut_prints_the_search_order_without_schreier_sims(tmp_path, capsys, monkeypatch):
+    """E2000 is one twin class, decided in one node; |Aut| = 2000! has 5,736
+    digits, past Python's default int-to-str limit, and no BSGS is built."""
+    import decimal
+    import math
+
+    from haarcay import automorphisms
+    from haarcay.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("aut built a PermGroup")
+
+    monkeypatch.setattr(automorphisms, "PermGroup", refuse)
+    edges = tmp_path / "e2000.txt"
+    edges.write_text("2000 0\n", encoding="utf-8")
+    assert main(["aut", str(edges)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["aut_order"] == str(decimal.Decimal(math.factorial(2000)))
+    assert len(out["aut_order"]) == 5736
+    assert out["vertex_transitive"] and out["nodes"] == 1
 
 
 def test_cli_closed_pipe_exits_141_silently():

@@ -2,6 +2,8 @@ import itertools
 import math
 import random
 
+import pytest
+
 from haarcay import perms
 from haarcay.automorphisms import automorphism_group
 from haarcay.cases import CASE_INDEX, constructor_catalog
@@ -217,18 +219,30 @@ def _random_generator_sets(count=200, seed=2024):
 
 def test_bsgs_identical_to_reference_construction():
     """Same base, same level generators, same transversals in the same
-    insertion order, hence the same elements() order."""
+    insertion order, hence the same elements() order; also when the build
+    stops at the group order given in advance."""
     for name, n, gens in _ir_generator_sets() + _random_generator_sets():
         for prefix in ((), (0,)):
-            new = PermGroup(n, gens, base_prefix=prefix)
             ref = ReferencePermGroup(n, gens, base_prefix=prefix)
-            assert new.base == ref.base, (name, prefix)
-            for mine, theirs in zip(new._levels, ref._levels):
-                assert mine.gens == theirs.gens, (name, prefix)
-                assert list(mine.transversal.items()) == list(theirs.transversal.items()), \
-                    (name, prefix)
+            order = math.prod(len(level.transversal) for level in ref._levels)
+            new = PermGroup(n, gens, base_prefix=prefix)
+            for built in (new, PermGroup(n, gens, base_prefix=prefix, order=order)):
+                assert built.base == ref.base, (name, prefix)
+                for mine, theirs in zip(built._levels, ref._levels):
+                    assert mine.gens == theirs.gens, (name, prefix)
+                    assert list(mine.transversal.items()) == list(theirs.transversal.items()), \
+                        (name, prefix)
             assert list(itertools.islice(new.stabilizer(0).elements(), 500)) == \
                 list(itertools.islice(ref.stabilizer(0).elements(), 500)), (name, prefix)
+
+
+def test_a_known_order_that_is_wrong_raises():
+    gens = sym_gens(6)
+    with pytest.raises(ValueError, match="order"):
+        PermGroup(6, gens, order=700)      # passed over, never met
+    with pytest.raises(ValueError, match="order"):
+        PermGroup(6, gens, order=1440)     # never reached
+    assert PermGroup(6, gens, order=720).order == 720
 
 
 # -- against sympy's PermutationGroup ------------------------------------------
