@@ -89,6 +89,9 @@ class AutResult:
     canonical_key: tuple
     nodes: int
     order: int               # |Aut|, read off the search
+    # the twin classes, the coloured quotient and its result, when there are twins
+    twin_quotient: Optional[tuple[list[list[int]], Graph, AutResult]] = \
+        field(default=None, repr=False)
     _group: Optional[PermGroup] = field(default=None, repr=False)
 
     @property
@@ -283,8 +286,9 @@ def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
     coloured quotient, whose nodes ``nodes`` counts.  Its generators are
     lifted member by member and joined by a transposition and a cycle per
     class, the order gains m! per class of size m, and the canonical
-    labelling and the orbits are expanded class by class.  A graph without
-    twins is searched as it is."""
+    labelling and the orbits are expanded class by class.  Each level's
+    result keeps the classes, the quotient and the quotient's result in
+    ``twin_quotient``.  A graph without twins gets the search's own result."""
     gens: list[Perm] = []
     for s in seeds:
         s = tuple(s)
@@ -292,36 +296,37 @@ def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
             if not graph.is_automorphism(s):
                 raise ValueError("seed permutation is not an automorphism")
             gens.append(s)
-    levels: list[list[list[int]]] = []
+    levels: list[tuple[Graph, list[list[int]], list[Perm]]] = []
     quotient, colours, projected = graph, [0] * graph.n, gens
     while (classes := _twin_classes(quotient.rows, colours)) is not None:
-        levels.append(classes)
+        levels.append((quotient, classes, projected))
         quotient, class_of = _twin_quotient(quotient, classes)
         images = (tuple(class_of[s[members[0]]] for members in classes) for s in projected)
         projected = [q for q in dict.fromkeys(images) if not is_identity(q)]
         colours = [(colours[members[0]], len(members)) for members in classes]
-    if not levels:
-        return _AutSearch(graph, [list(range(graph.n))], gens, budget).run()
     cells: dict = {}
     for v, colour in enumerate(colours):
         cells.setdefault(colour, []).append(v)
     result = _AutSearch(quotient, [cells[c] for c in sorted(cells)], projected, budget).run()
-    found, order = result.generators[len(projected):], result.order
-    canonical, orbits = result.canonical, result.orbits
-    for classes in reversed(levels):
-        found = _lift_quotient_perms(found, classes) + _class_permutations(classes)
+    for g, classes, g_seeds in reversed(levels):
+        found = result.generators[len(projected):]
+        order = result.order
         for members in classes:
             order *= factorial(len(members))
-        pos = [0] * sum(len(members) for members in classes)
+        pos = [0] * g.n
         nxt = 0
-        for c in pinv(canonical):
+        for c in pinv(result.canonical):
             for v in classes[c]:
                 pos[v] = nxt
                 nxt += 1
         canonical = tuple(pos)
-        orbits = [sorted(v for c in orbit for v in classes[c]) for orbit in orbits]
-    return AutResult(graph.n, gens + found, orbits, canonical,
-                     tuple(graph.relabel(canonical).rows), result.nodes, order)
+        result = AutResult(
+            g.n, g_seeds + _lift_quotient_perms(found, classes) + _class_permutations(classes),
+            [sorted(v for c in orbit for v in classes[c]) for orbit in result.orbits],
+            canonical, tuple(g.relabel(canonical).rows), result.nodes, order,
+            (classes, quotient, result))
+        quotient, projected = g, g_seeds
+    return result
 
 
 def is_vertex_transitive(graph: Graph, seeds: Sequence[Perm] = (),
@@ -585,8 +590,10 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     copies of one graph Z, and it is Cayley exactly when Z is; else, when it
     has twin classes (all of one size m, as it is vertex-transitive), it is
     Y[E_m] or Y[K_m] for its twin quotient Y, and it is Cayley when Y is.
-    The stage goes on with the copy holding vertex 0, or with Y, after its
-    own automorphism search (each within ``ir_budget``), until no reduction
+    The stage goes on with the copy holding vertex 0, after its own
+    automorphism search (within ``ir_budget``), or with Y, whose search the
+    graph's own already ran (its ``twin_quotient``; the quotient's colours
+    are all one, as the graph is vertex-transitive), until no reduction
     applies.  Filter and search: ``regular_subgroup_search`` in Z's
     automorphism group.  A regular group R of Z lifts to R x Z_m: over
     copies with the copy maps read from a breadth-first Schreier tree of
@@ -624,19 +631,21 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     z, z_aut = graph, aut
     while True:
         if (parts := _copies(z)) is not None:
-            twins, smaller = False, _induced(z, parts[0])
-        elif (parts := _twin_classes(z.rows, [0] * z.n)) is not None:
-            twins, smaller = True, _twin_quotient(z, parts)[0]
+            reductions.append((False, z, z_aut, parts))
+            z = _induced(z, parts[0])
+            try:
+                z_aut = automorphism_group(z, budget=ir_budget)
+            except BudgetExceeded as exc:
+                return Certificate("unknown",
+                                   budget_report={"stage": exc.what, "budget": exc.budget},
+                                   nodes=nodes, millis=(time.perf_counter() - t0) * 1000)
+            nodes += z_aut.nodes
+        elif z_aut.twin_quotient is not None:
+            parts, quotient, quotient_aut = z_aut.twin_quotient
+            reductions.append((True, z, z_aut, parts))
+            z, z_aut = quotient, quotient_aut
         else:
             break
-        reductions.append((twins, z, z_aut, parts))
-        z = smaller
-        try:
-            z_aut = automorphism_group(z, budget=ir_budget)
-        except BudgetExceeded as exc:
-            return Certificate("unknown", budget_report={"stage": exc.what, "budget": exc.budget},
-                               nodes=nodes, millis=(time.perf_counter() - t0) * 1000)
-        nodes += z_aut.nodes
         if len(z_aut.orbits) > 1:
             raise RuntimeError("a reduction of a vertex-transitive graph is intransitive")
     outcome = regular_subgroup_search(z_aut.group, budget=regular_budget,

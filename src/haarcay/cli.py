@@ -14,6 +14,7 @@ stderr, and 141 (128 + SIGPIPE), silently, when the reader closes stdout.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -91,18 +92,6 @@ def cmd_haar(args) -> int:
     return 0
 
 
-def _decimal(n: int) -> str:
-    """The decimal digits of n >= 0, also past Python's limit on int-to-str
-    conversion (4,300 digits by default; 2000! has 5,736)."""
-    chunk = 10 ** 1000
-    parts = []
-    while n >= chunk:
-        n, low = divmod(n, chunk)
-        parts.append(f"{low:01000d}")
-    parts.append(str(n))
-    return "".join(reversed(parts))
-
-
 def cmd_aut(args) -> int:
     graph = read_edge_list(Path(args.edges).read_text(encoding="utf-8"))
     try:
@@ -113,7 +102,7 @@ def cmd_aut(args) -> int:
         return 1
     _emit({
         "vertices": graph.n,
-        "aut_order": _decimal(result.order),
+        "aut_order": str(decimal.Decimal(result.order)),  # exact past the int-to-str limit
         "orbit_sizes": sorted(len(o) for o in result.orbits),
         "vertex_transitive": len(result.orbits) == 1,
         "generators": [list(p) for p in result.generators],

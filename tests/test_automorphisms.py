@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from haarcay.automorphisms import (
     Certificate,
+    _AutSearch,
     _bfs_vertex_order,
     _twin_classes,
     are_isomorphic,
@@ -612,6 +613,23 @@ def test_generic_status_lifts_a_twin_quotient():
         cert = cayley_status(h)
         assert cert.verdict == "cayley" and verify_certificate(h, cert)
         assert cert.nodes < 100
+
+
+def test_generic_status_searches_the_twin_quotient_once(monkeypatch):
+    """The regular stage takes the quotient and its result from the graph's
+    own search, so C5[E4] needs one IR search, and its nodes count once."""
+    g = lex_product(cycle_graph(5), empty_graph(4))
+    runs = []
+    run = _AutSearch.run
+    monkeypatch.setattr(_AutSearch, "run",
+                        lambda self: runs.append(self.n) or run(self))
+    aut = automorphism_group(g)
+    assert runs == [5] and aut.twin_quotient is not None
+    cert = cayley_status(g)
+    assert runs == [5, 5] and cert.verdict == "cayley"
+    _, quotient, quotient_aut = aut.twin_quotient
+    regular = regular_subgroup_search(quotient_aut.group, vertex_order=_bfs_vertex_order(quotient))
+    assert cert.nodes == aut.nodes + regular.nodes
 
 
 def test_generic_status_falls_back_when_the_twin_quotient_is_not_cayley():

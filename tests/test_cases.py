@@ -476,8 +476,8 @@ def test_cli_aut_prints_the_search_order_without_schreier_sims(tmp_path, capsys,
     edges.write_text("2000 0\n", encoding="utf-8")
     assert main(["aut", str(edges)]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["aut_order"] == str(decimal.Decimal(math.factorial(2000)))
-    assert len(out["aut_order"]) == 5736
+    assert out["aut_order"].isdigit() and len(out["aut_order"]) == 5736
+    assert decimal.Decimal(out["aut_order"]) == math.factorial(2000)
     assert out["vertex_transitive"] and out["nodes"] == 1
 
 
