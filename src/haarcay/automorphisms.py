@@ -14,11 +14,13 @@ equals that of the first or the best leaf; every new generator is verified
 edge-preserving before use.  Such an automorphism fixes the prefix the two
 paths share and maps the finished sibling subtree below it onto the current
 one, so the search jumps back to that common ancestor (McKay & Piperno,
-"Practical graph isomorphism, II", 2014).  The minimal leaf key doubles as
-a canonical form.  Once the subtree of a node on the first path is done, the
-automorphisms found generate its stabilizer, so the orbit of its first child
-under those fixing its prefix is one factor of |Aut|: the search reads the
-group order off the first path, and no Schreier-Sims run is needed for it.
+"Practical graph isomorphism, II", 2014).  The labelling of the leaf with
+the least key is canonical: two graphs are isomorphic exactly when their
+canonical relabellings are equal.  Once the subtree of a node on the first
+path is done, the automorphisms found generate its stabilizer, so the orbit
+of its first child under those fixing its prefix is one factor of |Aut|: the
+search reads the group order off the first path, and no Schreier-Sims run is
+needed for it.
 
 Twins come out before the search: vertices of one colour with equal open
 (else equal closed) neighbourhoods are interchangeable, so each twin class
@@ -86,7 +88,6 @@ class AutResult:
     generators: list[Perm]
     orbits: list[list[int]]
     canonical: Perm          # vertex -> canonical position
-    canonical_key: tuple
     nodes: int
     order: int               # |Aut|, read off the search
     # the twin classes, the coloured quotient and its result, when there are twins
@@ -138,7 +139,7 @@ class _AutSearch:
 
     def run(self) -> AutResult:
         if self.n == 0:
-            return AutResult(0, [], [], (), (), 0, 1)
+            return AutResult(0, [], [], (), 0, 1)
         cells = _refine(self.graph.rows, self.cells, [mask_of(c) for c in self.cells])
         stack: list[_Frame] = []
         while cells is not None:
@@ -157,7 +158,7 @@ class _AutSearch:
         root = _OrbitCache(self.n, ())
         root.update(self.gens)
         return AutResult(self.n, list(self.gens), root.partition(),
-                         self.best[0], self.best[1], self.nodes, self.order)
+                         self.best[0], self.nodes, self.order)
 
     def _next_child(self, stack: list[_Frame]) -> Optional[list[list[int]]]:
         """Cells of the next unpruned child of the deepest unfinished frame,
@@ -280,7 +281,7 @@ def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
     """Full automorphism group with orbit partition, order and canonical
     labelling.  ``seeds`` may carry already-known automorphisms.  They are
     verified and join ``generators``, and may prune more of the search, but
-    they change neither the orbits, nor the group, nor the canonical key.
+    they change neither the orbits, nor the group, nor the canonical labelling.
 
     Twin classes are merged first, recursively; the search runs on the
     coloured quotient, whose nodes ``nodes`` counts.  Its generators are
@@ -319,12 +320,10 @@ def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
             for v in classes[c]:
                 pos[v] = nxt
                 nxt += 1
-        canonical = tuple(pos)
         result = AutResult(
             g.n, g_seeds + _lift_quotient_perms(found, classes) + _class_permutations(classes),
             [sorted(v for c in orbit for v in classes[c]) for orbit in result.orbits],
-            canonical, tuple(g.relabel(canonical).rows), result.nodes, order,
-            (classes, quotient, result))
+            tuple(pos), result.nodes, order, (classes, quotient, result))
         quotient, projected = g, g_seeds
     return result
 
@@ -338,19 +337,18 @@ def is_vertex_transitive(graph: Graph, seeds: Sequence[Perm] = (),
 
 def are_isomorphic(g1: Graph, g2: Graph,
                    budget: int = IR_BUDGET) -> Optional[Perm]:
-    """A vertex bijection g1 -> g2 when the canonical forms agree, else None."""
+    """A vertex bijection g1 -> g2 when the canonical forms agree, else None.
+    The canonical labellings give the only candidate, and its check is that
+    equality: g1 relabelled by it is g2 exactly when both canonical forms are
+    the same graph."""
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
         return None
     if sorted(r.bit_count() for r in g1.rows) != sorted(r.bit_count() for r in g2.rows):
         return None
     r1 = automorphism_group(g1, budget=budget)
     r2 = automorphism_group(g2, budget=budget)
-    if r1.canonical_key != r2.canonical_key:
-        return None
     mapping = pmul(r1.canonical, pinv(r2.canonical))
-    if g1.relabel(mapping) != g2:
-        raise RuntimeError("canonical forms agreed but mapping fails")
-    return mapping
+    return mapping if g1.relabel(mapping) == g2 else None
 
 
 @dataclass
@@ -543,36 +541,22 @@ def _induced(graph: Graph, vertices: Sequence[int]) -> Graph:
                   for v in vertices], validate=False)
 
 
-def _lift_to_copies(gens: Sequence[Perm], copies: list[list[int]],
-                    aut_gens: Sequence[Perm]) -> list[Perm]:
-    """Generators of R x Z_m on m isomorphic copies, from generators of R on
-    the first copy (in its own labels).  Copy j is reached through the
-    element of <aut_gens> carrying vertex 0 to the first vertex of copy j: an
-    automorphism, so it maps the first copy onto copy j."""
-    n = sum(len(copy) for copy in copies)
-    transversal = _transversal_of_0(aut_gens, n)
-    maps = [[transversal[copy[0]][v] for v in copies[0]] for copy in copies]
-    lifted = []
-    for r in gens:
-        p = [0] * n
-        for phi in maps:
-            for i, x in enumerate(phi):
-                p[x] = phi[r[i]]
-        lifted.append(tuple(p))
-    shift = [0] * n
-    for phi, nxt in zip(maps, maps[1:] + maps[:1]):
-        for x, y in zip(phi, nxt):
-            shift[x] = y
-    lifted.append(tuple(shift))
-    return lifted
+def _copy_fibres(parts: list[list[int]], aut_gens: Sequence[Perm]) -> list[list[int]]:
+    """The m copies as fibres over the first: fibre v holds the image of
+    ``parts[0][v]`` in every copy, each copy j reached through the element of
+    <aut_gens> carrying vertex 0 to its first vertex, an automorphism that
+    maps the first copy onto copy j."""
+    transversal = _transversal_of_0(aut_gens, sum(len(part) for part in parts))
+    maps = [transversal[part[0]] for part in parts]
+    return [[t[v] for t in maps] for v in parts[0]]
 
 
-def _lift_to_twins(gens: Sequence[Perm], classes: list[list[int]]) -> list[Perm]:
-    """Generators of R x Z_m on a graph whose twin classes all have m
-    members, from generators of R on the twin quotient: each lifted member
-    by member, and one cyclic shift of the members of every class."""
-    shift = _cycles(sum(len(members) for members in classes), classes)
-    return _lift_quotient_perms(gens, classes) + [shift]
+def _lift_fibres(gens: Sequence[Perm], fibres: list[list[int]]) -> list[Perm]:
+    """Generators of R x Z_m on a graph made of m-member fibres, from
+    generators of R on the graph they lie over: each lifted member by
+    member, and one cyclic shift of every fibre."""
+    shift = _cycles(sum(len(fibre) for fibre in fibres), fibres)
+    return _lift_quotient_perms(gens, fibres) + [shift]
 
 
 def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
@@ -585,25 +569,18 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     vertex-transitivity (intransitive means NonCayley); then, when provenance
     hints are present, the part-swap certificate (the right translations and
     a part-swapping map whose square is a translation); then the regular
-    stage, which reduces, filters and searches.  Reduce, copies first: when
-    the graph or its complement is disconnected, the graph is made of m
-    copies of one graph Z, and it is Cayley exactly when Z is; else, when it
-    has twin classes (all of one size m, as it is vertex-transitive), it is
-    Y[E_m] or Y[K_m] for its twin quotient Y, and it is Cayley when Y is.
-    The stage goes on with the copy holding vertex 0, after its own
-    automorphism search (within ``ir_budget``), or with Y, whose search the
-    graph's own already ran (its ``twin_quotient``; the quotient's colours
-    are all one, as the graph is vertex-transitive), until no reduction
-    applies.  Filter and search: ``regular_subgroup_search`` in Z's
-    automorphism group.  A regular group R of Z lifts to R x Z_m: over
-    copies with the copy maps read from a breadth-first Schreier tree of
-    vertex 0 over the generators of Aut, over twins member by member with a
-    cyclic shift of every class; the lift is checked on the graph itself.
-    An exhausted search on a copy is one on the graph.  The twin law holds
-    one way only, so a twin reduction that yields no regular group is
-    followed by the regular search on the graph it reduced.  Unknown only
-    on budget exhaustion.  Hints whose Haar graph is not the graph given
-    raise ``ValueError``.
+    stage.  While it can, it reduces the graph to m fibres over a smaller
+    graph Z: m copies of Z when the graph or its complement is disconnected
+    (Z is the copy of vertex 0, searched within ``ir_budget``), else its
+    twin classes over the twin quotient Z (taken with its result from the
+    graph's own search).  Both are lexicographic products with E_m or K_m,
+    so a regular group R of Z lifts to R x Z_m, member by member with a
+    cyclic shift of every fibre, and the lift is checked on the graph.
+    ``regular_subgroup_search`` runs in Aut of the last Z.  Copies are Cayley
+    exactly when Z is, twins when Z is but not only then (Petersen[E2]), so
+    a twin level whose Z yields no regular group searches its own graph.
+    Unknown only on budget exhaustion.  Hints whose Haar graph is not the
+    graph given raise ``ValueError``.
     """
     t0 = time.perf_counter()
     seeds: list[Perm] = []
@@ -627,11 +604,11 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
                                swap_witness=witness, nodes=aut.nodes,
                                millis=(time.perf_counter() - t0) * 1000)
     nodes = aut.nodes
-    reductions: list[tuple[bool, Graph, AutResult, list[list[int]]]] = []
+    reductions: list[tuple[list[list[int]], Optional[tuple[Graph, AutResult]]]] = []
     z, z_aut = graph, aut
     while True:
         if (parts := _copies(z)) is not None:
-            reductions.append((False, z, z_aut, parts))
+            reductions.append((_copy_fibres(parts, z_aut.generators), None))
             z = _induced(z, parts[0])
             try:
                 z_aut = automorphism_group(z, budget=ir_budget)
@@ -641,8 +618,8 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
                                    nodes=nodes, millis=(time.perf_counter() - t0) * 1000)
             nodes += z_aut.nodes
         elif z_aut.twin_quotient is not None:
-            parts, quotient, quotient_aut = z_aut.twin_quotient
-            reductions.append((True, z, z_aut, parts))
+            classes, quotient, quotient_aut = z_aut.twin_quotient
+            reductions.append((classes, (z, z_aut)))
             z, z_aut = quotient, quotient_aut
         else:
             break
@@ -653,12 +630,12 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     nodes += outcome.nodes
     group, exhausted = outcome.group, outcome.exhausted
     gens = None if group is None else group.generators
-    for twins, parent, parent_aut, parts in reversed(reductions):
+    for fibres, one_way in reversed(reductions):
         if gens is not None:
-            gens = _lift_to_twins(gens, parts) if twins else \
-                _lift_to_copies(gens, parts, parent_aut.generators)
+            gens = _lift_fibres(gens, fibres)
             group = None
-        elif twins:
+        elif one_way is not None:
+            parent, parent_aut = one_way
             outcome = regular_subgroup_search(parent_aut.group, budget=regular_budget,
                                               vertex_order=_bfs_vertex_order(parent))
             nodes += outcome.nodes

@@ -156,12 +156,12 @@ def test_canonical_form_invariant_under_relabeling():
     rng = random.Random(99)
     bases = [(random_graph(9, 0.4, rng), 50)] + [(g, 8) for g in _twin_rich_graphs()]
     for base, copies in bases:
-        key0 = automorphism_group(base).canonical_key
+        form0 = base.relabel(automorphism_group(base).canonical)
         for _ in range(copies):
             perm = list(range(base.n))
             rng.shuffle(perm)
-            key = automorphism_group(base.relabel(perm)).canonical_key
-            assert key == key0
+            moved = base.relabel(perm)
+            assert moved.relabel(automorphism_group(moved).canonical) == form0
 
 
 def spider(legs):
@@ -280,6 +280,13 @@ def test_are_isomorphic():
     mapping = are_isomorphic(h, h.relabel(perm))
     assert mapping is not None
     assert h.relabel(mapping) == h.relabel(perm)
+    # K3,3 and the triangular prism: both 3-regular on 6 vertices, so the
+    # pair passes the pre-filters and only the relabelling check tells them
+    # apart (K3,3 is all twins, the prism has none)
+    k33, prism = complete_bipartite(3, 3), cycle_graph(6).complement()
+    assert k33.edge_count() == prism.edge_count() == 9
+    assert {r.bit_count() for r in k33.rows} == {r.bit_count() for r in prism.rows} == {3}
+    assert are_isomorphic(k33, prism) is None and are_isomorphic(prism, k33) is None
 
 
 def test_haar_q8_valency7_is_k88_minus_matching():
@@ -377,9 +384,9 @@ def test_generic_cayley_status_perm_group_builds(monkeypatch):
     stabilizer and the regular group found: the regular search reuses Aut's
     BSGS, whose base already starts at vertex 0.  K4,4 (complement 2K4, one
     part is E4, which is 4K1) and 4C6 are decided on one copy: the search
-    runs there, the copy maps of each reduction level come from a Schreier
-    tree over its Aut generators, not from a BSGS, and the lifted group is
-    built once on the whole graph."""
+    runs there, each reduction level's copies become fibres through a
+    Schreier tree over its Aut generators, not through a BSGS, and the
+    lifted group is built once on the whole graph."""
     built = []
     init = PermGroup.__init__
 
@@ -563,8 +570,8 @@ def _conjugate(p, perm):
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
-def test_twin_substitutions_keep_canonical_key_and_seeds(data):
-    """A relabelled twin substitution has the same canonical key and order,
+def test_twin_substitutions_keep_canonical_form_and_seeds(data):
+    """A relabelled twin substitution has the same canonical form and order,
     and automorphisms passed as seeds survive the projection to the twin
     quotient: they stay among the generators and change nothing else."""
     n = data.draw(st.integers(1, 6), label="n")
@@ -578,12 +585,12 @@ def test_twin_substitutions_keep_canonical_key_and_seeds(data):
     perm = data.draw(st.permutations(range(g.n)), label="perm")
     h = g.relabel(perm)
     res, moved = automorphism_group(g), automorphism_group(h)
-    assert moved.canonical_key == res.canonical_key and moved.order == res.order
-    assert h.relabel(moved.canonical) == g.relabel(res.canonical)
+    form = g.relabel(res.canonical)
+    assert h.relabel(moved.canonical) == form and moved.order == res.order
     seeds = [_conjugate(p, perm) for p in res.generators[:3]]
     seeded = automorphism_group(h, seeds)
     assert seeded.generators[:len(seeds)] == seeds
-    assert seeded.order == moved.order and seeded.canonical_key == moved.canonical_key
+    assert seeded.order == moved.order and h.relabel(seeded.canonical) == form
     assert sorted(seeded.orbits) == sorted(moved.orbits)
 
 
@@ -601,7 +608,7 @@ def test_hinted_seeds_survive_the_twin_quotient():
             plain, seeded = automorphism_group(g), automorphism_group(g, seeds)
             assert seeded.generators[:len(seeds)] == seeds
             assert seeded.order == plain.order and seeded.orbits == plain.orbits
-            assert seeded.canonical_key == plain.canonical_key
+            assert g.relabel(seeded.canonical) == g.relabel(plain.canonical)
     assert checked > 10
 
 
@@ -630,6 +637,38 @@ def test_generic_status_searches_the_twin_quotient_once(monkeypatch):
     _, quotient, quotient_aut = aut.twin_quotient
     regular = regular_subgroup_search(quotient_aut.group, vertex_order=_bfs_vertex_order(quotient))
     assert cert.nodes == aut.nodes + regular.nodes
+
+
+def test_twin_lift_relabels_no_whole_graph(monkeypatch):
+    """K500,500 is two twin classes over one vertex: the search runs on the
+    quotient, and lifting its canonical labelling relabels no 1,000-vertex
+    graph."""
+    sizes = []
+    relabel = Graph.relabel
+    monkeypatch.setattr(Graph, "relabel",
+                        lambda self, perm: sizes.append(self.n) or relabel(self, perm))
+    res = automorphism_group(complete_bipartite(500, 500))
+    assert res.order == 2 * math.factorial(500) ** 2 and res.nodes == 1
+    assert 1000 not in sizes
+
+
+@pytest.mark.parametrize("graph, nodes, generators", [
+    (complete_bipartite(4, 4), 3,
+     [(1, 2, 3, 0, 5, 6, 7, 4), (4, 5, 6, 7, 0, 1, 2, 3)]),
+    (disjoint_union([lex_product(cycle_graph(5), empty_graph(2))] * 2), 30,
+     [(2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 12, 13, 14, 15, 16, 17, 18, 19, 10, 11),
+      (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14, 17, 16, 19, 18),
+      (10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)]),
+    (disjoint_union([cycle_graph(4)] * 3).complement(), 4,
+     [(2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9), (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10),
+      (4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2, 3)]),
+], ids=["k44-copies-then-twins", "2c5e2-copies-then-twins", "3c4-complement-three-copy-levels"])
+def test_generic_status_pins_lifts_through_reduction_chains(graph, nodes, generators):
+    """Generic certificates through chains of copy and twin levels, pinned:
+    any change to the order of the lift shows here."""
+    cert = cayley_status(graph)
+    assert cert.verdict == "cayley" and verify_certificate(graph, cert)
+    assert cert.nodes == nodes and cert.regular_generators == generators
 
 
 def test_generic_status_falls_back_when_the_twin_quotient_is_not_cayley():
