@@ -20,13 +20,18 @@ canonical relabellings are equal.  Once the subtree of a node on the first
 path is done, the automorphisms found generate its stabilizer, so the orbit
 of its first child under those fixing its prefix is one factor of |Aut|: the
 search reads the group order off the first path, and no Schreier-Sims run is
-needed for it.
+needed for it.  For the same reason the vertices individualised along the
+first path are a base and the automorphisms found a strong generating set
+for it, so ``AutResult.group`` is built from them without a sift.
 
 Twins come out before the search: vertices of one colour with equal open
 (else equal closed) neighbourhoods are interchangeable, so each twin class
 merges into one vertex coloured by (colour, class size), until no twins are
 left.  Aut of the graph is the lift of Aut of that coloured quotient times
 the symmetric group of every class (Sabidussi, Duke Math. J. 28, 1961).
+The quotient's base lifts to the first members of its classes, followed by
+all but the last member of every class, and its strong generators lift
+member by member, joined by the adjacent transpositions of every class.
 """
 
 from __future__ import annotations
@@ -84,12 +89,19 @@ def _refine(rows: Sequence[int], cells: list[list[int]],
 
 @dataclass
 class AutResult:
+    """The automorphism group of a graph as the search found it.  ``base``
+    is the search's first path (lifted through the twin levels); without
+    seeds, ``generators`` and the class transpositions that ``group`` adds
+    are a strong generating set for it.  Vertex 0 comes first only when the
+    graph is vertex-transitive: the root cell is then the whole vertex set,
+    and the search branches on its first vertex."""
     degree: int
     generators: list[Perm]
     orbits: list[list[int]]
     canonical: Perm          # vertex -> canonical position
     nodes: int
     order: int               # |Aut|, read off the search
+    base: list[int]          # the first path, lifted through the twin levels
     # the twin classes, the coloured quotient and its result, when there are twins
     twin_quotient: Optional[tuple[list[list[int]], Graph, AutResult]] = \
         field(default=None, repr=False)
@@ -97,13 +109,25 @@ class AutResult:
 
     @property
     def group(self) -> PermGroup:
-        """Base-and-strong-generating-set view with vertex 0 as the first
-        base point, so the regular search can use it as it is; built on first
-        use (orbits, order and canonical data never need it), and stopped at
-        the known order."""
+        """Base and strong generating set read off the search: ``base``, and
+        ``generators`` joined by the adjacent transpositions of every twin
+        class, lifted member by member from the level that merged it.  The
+        product of the basic orbits then equals ``order``, so no Schreier
+        pair is sifted; seeds that are not strong fall back to Schreier-Sims,
+        stopped at ``order``.  Built on first use (orbits, order and
+        canonical data never need it); on a vertex-transitive graph vertex 0
+        is the first base point, so the regular search uses it as it is."""
         if self._group is None:
-            self._group = PermGroup(self.degree, self.generators,
-                                    base_prefix=[0] if self.degree else [], order=self.order)
+            levels = []
+            result = self
+            while result.twin_quotient is not None:
+                classes, _, result = result.twin_quotient
+                levels.append(classes)
+            strong: list[Perm] = []
+            for classes in reversed(levels):
+                strong = _lift_quotient_perms(strong, classes) + _class_transpositions(classes)
+            self._group = PermGroup(self.degree, self.generators + strong,
+                                    base_prefix=self.base, order=self.order)
         return self._group
 
 
@@ -139,7 +163,7 @@ class _AutSearch:
 
     def run(self) -> AutResult:
         if self.n == 0:
-            return AutResult(0, [], [], (), 0, 1)
+            return AutResult(0, [], [], (), 0, 1, [])
         cells = _refine(self.graph.rows, self.cells, [mask_of(c) for c in self.cells])
         stack: list[_Frame] = []
         while cells is not None:
@@ -158,7 +182,7 @@ class _AutSearch:
         root = _OrbitCache(self.n, ())
         root.update(self.gens)
         return AutResult(self.n, list(self.gens), root.partition(),
-                         self.best[0], self.nodes, self.order)
+                         self.best[0], self.nodes, self.order, self.first[2])
 
     def _next_child(self, stack: list[_Frame]) -> Optional[list[list[int]]]:
         """Cells of the next unpruned child of the deepest unfinished frame,
@@ -276,6 +300,17 @@ def _class_permutations(classes: list[list[int]]) -> list[Perm]:
     return out
 
 
+def _class_transpositions(classes: list[list[int]]) -> list[Perm]:
+    """The transpositions (m_i m_i+1) of consecutive members, i >= 1, of
+    every class m_0, m_1, ... of three or more members.  With (m_0 m_1) they
+    are a strong generating set of the class's symmetric group for the base
+    of all members but the last: those fixing m_0, ..., m_i-1 move m_i over
+    the m - i members from m_i on."""
+    n = sum(len(members) for members in classes)
+    return [_cycles(n, [members[i:i + 2]])
+            for members in classes for i in range(1, len(members) - 1)]
+
+
 def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
                        budget: int = IR_BUDGET) -> AutResult:
     """Full automorphism group with orbit partition, order and canonical
@@ -287,9 +322,12 @@ def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
     coloured quotient, whose nodes ``nodes`` counts.  Its generators are
     lifted member by member and joined by a transposition and a cycle per
     class, the order gains m! per class of size m, and the canonical
-    labelling and the orbits are expanded class by class.  Each level's
-    result keeps the classes, the quotient and the quotient's result in
-    ``twin_quotient``.  A graph without twins gets the search's own result."""
+    labelling and the orbits are expanded class by class.  The base becomes
+    the first members of the classes of the quotient's base points, in that
+    order, then all but the last member of every class, skipping points
+    already in it.  Each level's result keeps the classes, the quotient and
+    the quotient's result in ``twin_quotient``.  A graph without twins gets
+    the search's own result."""
     gens: list[Perm] = []
     for s in seeds:
         s = tuple(s)
@@ -320,10 +358,13 @@ def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
             for v in classes[c]:
                 pos[v] = nxt
                 nxt += 1
+        base = [classes[c][0] for c in result.base]
+        in_base = set(base)
+        base += [v for members in classes for v in members[:-1] if v not in in_base]
         result = AutResult(
             g.n, g_seeds + _lift_quotient_perms(found, classes) + _class_permutations(classes),
             [sorted(v for c in orbit for v in classes[c]) for orbit in result.orbits],
-            tuple(pos), result.nodes, order, (classes, quotient, result))
+            tuple(pos), result.nodes, order, base, (classes, quotient, result))
         quotient, projected = g, g_seeds
     return result
 

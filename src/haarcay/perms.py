@@ -24,6 +24,11 @@ stops as soon as the product of the transversal sizes reaches it.  That
 product never exceeds |G|, and a partial BSGS whose product equals |G| is
 complete: every Schreier pair left would sift to the identity, so the base,
 level generators and transversals are again exactly those of the full run.
+So a base prefix whose generators are already strong for it (each level's
+generators are those fixing the points before it, and the product of their
+orbits is the order given) needs no sift at all: that is how a graph's
+automorphism group takes the base and strong generators its search found.
+Generators that are not strong for the prefix fall back to Schreier-Sims.
 
 Composition convention: ``pmul(p, q)`` applies p first, then q
 (image-style actions, x^(pq) = (x^p)^q).

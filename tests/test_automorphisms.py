@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from haarcay.automorphisms import (
     is_vertex_transitive,
     regular_subgroup_search,
 )
-from haarcay import bicayley
+from haarcay import automorphisms, bicayley
 from haarcay.bicayley import BiCayleyHints, normalizer_structure, right_translation_group_perms
 from haarcay.cases import CASE_INDEX, constructor_catalog, verify_certificate
 from haarcay.graphs import (
@@ -42,7 +43,7 @@ from haarcay.groups import (
     mp_group,
     quaternion_group,
 )
-from haarcay.perms import BudgetExceeded, PermGroup, bsgs
+from haarcay.perms import BudgetExceeded, PermGroup, bsgs, pmul
 
 from oracles import brute_force_graph_automorphisms
 
@@ -338,7 +339,6 @@ def test_regular_subgroup_search_walks_every_stabilizer_element():
 
 
 def test_cayley_status_runs_one_automorphism_search(monkeypatch):
-    import haarcay.automorphisms as automorphisms
     calls = []
 
     def counting(*args, **kwargs):
@@ -539,12 +539,9 @@ def test_lex_product_aut_order_law_small():
         checked += 1
 
 
-def test_search_order_agrees_with_sympy():
-    """The order read off the first path of the search, against sympy's
-    order of the generators, on Haar graphs, random graphs and their twin
-    substitutions X[E_m], X[K_m] and (X[E_m])[K_k]."""
-    from sympy.combinatorics import Permutation, PermutationGroup
-
+def _search_order_graphs():
+    """Haar graphs, random graphs and their twin substitutions X[E_m], X[K_m]
+    and (X[E_m])[K_k]."""
     rng = random.Random(16)
     graphs = [haar_graph(H, rng.randrange(1 << H.order) | 1)[0] for H in constructor_catalog(16)]
     for _ in range(25):
@@ -552,12 +549,82 @@ def test_search_order_agrees_with_sympy():
         m, k = rng.randrange(2, 4), rng.randrange(2, 4)
         graphs += [x, lex_product(x, empty_graph(m)), lex_product(x, complete_graph(m)),
                    lex_product(lex_product(x, empty_graph(m)), complete_graph(k))]
-    for g in graphs:
+    return graphs
+
+
+def test_search_order_agrees_with_sympy():
+    """The order read off the first path of the search, against sympy's
+    order of the generators, on Haar graphs, random graphs and their twin
+    substitutions X[E_m], X[K_m] and (X[E_m])[K_k]."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    for g in _search_order_graphs():
         res = automorphism_group(g)
         assert all(g.is_automorphism(p) for p in res.generators)
         sym = PermutationGroup([Permutation(list(p)) for p in res.generators]
                                or [Permutation(g.n - 1)])
         assert res.order == sym.order(), g
+
+
+def test_group_is_the_bsgs_read_off_the_search(monkeypatch):
+    """``AutResult.group`` takes the search's base and strong generators: on
+    unseeded graphs it sifts nothing, and with seeds (hinted Haar graphs with
+    twins) it may sift.  Either way its base starts with ``res.base``, its
+    order is ``res.order``, and a permutation is a member exactly when it is
+    an automorphism and, up to 32 points, when Schreier-Sims on the
+    generators alone says so (above that the reference costs seconds)."""
+    sifts = []
+    sift_from = PermGroup._sift_from
+    inputs = [(g, ()) for g in _search_order_graphs()]
+    for H in constructor_catalog(12):
+        seeds = right_translation_group_perms(H)
+        for S in (mask_of([0, H.order // 2]), mask_of(range(H.order // 2)) | 1):
+            g, _ = haar_graph(H, S)
+            if _twin_classes(g.rows, [0] * g.n) is not None:
+                inputs.append((g, seeds))
+    assert sum(1 for _, seeds in inputs if seeds) > 10
+    rng = random.Random(17)
+    for g, seeds in inputs:
+        res = automorphism_group(g, seeds)
+        sifts.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(PermGroup, "_sift_from",
+                          lambda self, p, start: sifts.append(1) or sift_from(self, p, start))
+            group = res.group
+        assert sifts == [] or seeds, g
+        assert group.order == res.order and group.base[:len(res.base)] == res.base, g
+        if len(res.orbits) == 1 and res.order > 1:
+            assert group.base[0] == 0, g
+        if not res.generators:
+            continue
+        reference = bsgs(res.generators, g.n) if g.n <= 32 else None
+        for _ in range(3):
+            p = tuple(range(g.n))
+            for _ in range(rng.randrange(1, 6)):
+                p = pmul(p, rng.choice(res.generators))
+            q = list(range(g.n))
+            rng.shuffle(q)
+            for x in (p, tuple(q)):
+                assert group.contains(x) == g.is_automorphism(x), g
+                assert reference is None or reference.contains(x) == group.contains(x), g
+            assert group.contains(p), g
+
+
+def test_class_transpositions_wait_for_group(monkeypatch):
+    """The strong generators of big twin classes (1,998 transpositions of
+    2,000 points for E2000) are built only when ``group`` is read, so the
+    search on E2000 and K500,500 stays one node and a few milliseconds."""
+    made = []
+    transpositions = automorphisms._class_transpositions
+    monkeypatch.setattr(automorphisms, "_class_transpositions",
+                        lambda classes: made.append(1) or transpositions(classes))
+    for g in (empty_graph(2000), complete_bipartite(500, 500)):
+        start = time.perf_counter()
+        res = automorphism_group(g)
+        assert time.perf_counter() - start < 0.1 and res.nodes == 1
+        assert made == [] and res._group is None
+    small = automorphism_group(complete_bipartite(4, 4))   # two twin levels: K4,4, then K2
+    assert small.group.order == 1152 and made == [1, 1]
 
 
 def _conjugate(p, perm):

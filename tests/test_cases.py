@@ -139,7 +139,7 @@ def test_reproduce_all_reports_the_work_of_every_case(capsys):
 
 def test_reproduce_under_python_O_matches_normal_run():
     """The runtime checks are explicit raises, so stripping asserts with -O
-    changes no output."""
+    changes no output, and a group order that is wrong still raises."""
     import os
     import subprocess
     import sys
@@ -160,6 +160,16 @@ def test_reproduce_under_python_O_matches_normal_run():
             runs.append(row)
         assert runs[0] == runs[1], cid
         assert runs[0]["pass"]
+    wrong_order = ("from haarcay.perms import PermGroup\n"
+                   "try:\n"
+                   "    PermGroup(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)],\n"
+                   "              base_prefix=range(5), order=700)\n"
+                   "except ValueError as exc:\n"
+                   "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", wrong_order],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "group order 720 differs from the order 700 given"
 
 
 def test_enumerate_trivial_group():

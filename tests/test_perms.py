@@ -245,6 +245,30 @@ def test_a_known_order_that_is_wrong_raises():
     assert PermGroup(6, gens, order=720).order == 720
 
 
+def test_a_base_prefix_whose_generators_are_not_strong_falls_back_to_sifting(monkeypatch):
+    """(0 1) and the 6-cycle over the base 0..4: only the 6-cycle moves 0,
+    and nothing fixes 0, so the prefix's orbits multiply to 6, not 720, and
+    Schreier-Sims sifts its way to S6 from there."""
+    sifts = []
+    sift_from = PermGroup._sift_from
+    monkeypatch.setattr(PermGroup, "_sift_from",
+                        lambda self, p, start: sifts.append(1) or sift_from(self, p, start))
+    G = PermGroup(6, sym_gens(6), base_prefix=range(5), order=720)
+    assert sifts and G.order == 720 and G.base == [0, 1, 2, 3, 4]
+    assert all(G.contains(tuple(p)) for p in itertools.permutations(range(6)))
+
+
+def test_a_wrong_order_with_a_base_prefix_raises():
+    """The order check is the same with a base prefix, whether the prefix's
+    generators are strong (adjacent transpositions) or not."""
+    adjacent = [tuple(list(range(i)) + [i + 1, i] + list(range(i + 2, 6))) for i in range(5)]
+    for gens in (adjacent, sym_gens(6)):
+        assert PermGroup(6, gens, base_prefix=range(5), order=720).order == 720
+        for wrong in (360, 700, 1440):
+            with pytest.raises(ValueError, match="order"):
+                PermGroup(6, gens, base_prefix=range(5), order=wrong)
+
+
 # -- against sympy's PermutationGroup ------------------------------------------
 
 def test_agrees_with_sympy():
