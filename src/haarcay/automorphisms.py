@@ -22,7 +22,8 @@ of its first child under those fixing its prefix is one factor of |Aut|: the
 search reads the group order off the first path, and no Schreier-Sims run is
 needed for it.  For the same reason the vertices individualised along the
 first path are a base and the automorphisms found a strong generating set
-for it, so ``AutResult.group`` is built from them without a sift.
+for it, so on a graph searched without seeds ``AutResult.group`` is built
+from them without a sift.
 
 Twins come out before the search: vertices of one colour with equal open
 (else equal closed) neighbourhoods are interchangeable, so each twin class
@@ -30,8 +31,10 @@ merges into one vertex coloured by (colour, class size), until no twins are
 left.  Aut of the graph is the lift of Aut of that coloured quotient times
 the symmetric group of every class (Sabidussi, Duke Math. J. 28, 1961).
 The quotient's base lifts to the first members of its classes, followed by
-all but the last member of every class, and its strong generators lift
-member by member, joined by the adjacent transpositions of every class.
+all but the last member of every class.  The lifted generators are strong
+for it while every class has at most two members; a class of three or more
+leaves Schreier-Sims some sifting, since once its first member is fixed
+neither its transposition nor its cycle is left to move the others.
 """
 
 from __future__ import annotations
@@ -91,10 +94,10 @@ def _refine(rows: Sequence[int], cells: list[list[int]],
 class AutResult:
     """The automorphism group of a graph as the search found it.  ``base``
     is the search's first path (lifted through the twin levels); without
-    seeds, ``generators`` and the class transpositions that ``group`` adds
-    are a strong generating set for it.  Vertex 0 comes first only when the
-    graph is vertex-transitive: the root cell is then the whole vertex set,
-    and the search branches on its first vertex."""
+    seeds and twin classes of three or more, ``generators`` are a strong
+    generating set for it.  Vertex 0 comes first only when the graph is
+    vertex-transitive: the root cell is then the whole vertex set, and the
+    search branches on its first vertex."""
     degree: int
     generators: list[Perm]
     orbits: list[list[int]]
@@ -109,24 +112,17 @@ class AutResult:
 
     @property
     def group(self) -> PermGroup:
-        """Base and strong generating set read off the search: ``base``, and
-        ``generators`` joined by the adjacent transpositions of every twin
-        class, lifted member by member from the level that merged it.  The
-        product of the basic orbits then equals ``order``, so no Schreier
-        pair is sifted; seeds that are not strong fall back to Schreier-Sims,
-        stopped at ``order``.  Built on first use (orbits, order and
-        canonical data never need it); on a vertex-transitive graph vertex 0
-        is the first base point, so the regular search uses it as it is."""
+        """Base and strong generating set read off the search: ``base`` and
+        ``generators``, handed to ``PermGroup`` with ``order``, which sifts
+        only while the product of the basic orbits is below it.  Without
+        seeds and twin classes of three or more it is not, so nothing is
+        sifted; that covers the twin-free graph on which ``cayley_status``
+        runs its regular search when no hints are given.  Built on first
+        use (orbits, order and canonical data never need it); on a
+        vertex-transitive graph vertex 0 is the first base point, so the
+        regular search uses it as it is."""
         if self._group is None:
-            levels = []
-            result = self
-            while result.twin_quotient is not None:
-                classes, _, result = result.twin_quotient
-                levels.append(classes)
-            strong: list[Perm] = []
-            for classes in reversed(levels):
-                strong = _lift_quotient_perms(strong, classes) + _class_transpositions(classes)
-            self._group = PermGroup(self.degree, self.generators + strong,
+            self._group = PermGroup(self.degree, self.generators,
                                     base_prefix=self.base, order=self.order)
         return self._group
 
@@ -298,17 +294,6 @@ def _class_permutations(classes: list[list[int]]) -> list[Perm]:
         if len(members) > 2:
             out.append(_cycles(n, [members]))
     return out
-
-
-def _class_transpositions(classes: list[list[int]]) -> list[Perm]:
-    """The transpositions (m_i m_i+1) of consecutive members, i >= 1, of
-    every class m_0, m_1, ... of three or more members.  With (m_0 m_1) they
-    are a strong generating set of the class's symmetric group for the base
-    of all members but the last: those fixing m_0, ..., m_i-1 move m_i over
-    the m - i members from m_i on."""
-    n = sum(len(members) for members in classes)
-    return [_cycles(n, [members[i:i + 2]])
-            for members in classes for i in range(1, len(members) - 1)]
 
 
 def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
