@@ -25,6 +25,19 @@ first path are a base and the automorphisms found a strong generating set
 for it, so on a graph searched without seeds ``AutResult.group`` is built
 from them without a sift.
 
+Refinement works on one ordered partition held in position arrays (the
+vertices listed cell by cell, the start of each vertex's cell, the size of
+the cell at each start, a mask of the vertices in non-singleton cells), and
+each branching node keeps a copy.  A splitter visits only the non-singleton
+cells its neighbourhood meets and splits them in place.  When a cell
+splits, every part but the first largest is queued (Hopcroft, 1971; McKay &
+Piperno, 2014): the cell itself is still queued or was already used as a
+splitter, so the counts into the part left out are the counts into the cell
+minus those into the other parts, and the result stays equitable.  For the
+same reason a child refines from its individualised vertex alone, since its
+parent's partition is equitable and the rest of the old cell is that cell
+minus the vertex.
+
 Twins come out before the search: vertices of one colour with equal open
 (else equal closed) neighbourhoods are interchangeable, so each twin class
 merges into one vertex coloured by (colour, class size), until no twins are
@@ -59,35 +72,140 @@ IR_BUDGET = 10 ** 7
 REGULAR_BUDGET = 10 ** 7
 
 
+class _Partition:
+    """An ordered partition of the vertices in position arrays, kept for
+    the whole search: ``lab`` lists the vertices cell by cell, ``start[v]``
+    is the position where the cell of v begins, ``size[s]`` is the size of
+    the cell beginning at position s (entries at other positions are stale),
+    and ``live`` is the mask of the vertices in non-singleton cells.  A cell
+    splits in place, so no other cell moves; once every cell is a
+    singleton, ``start`` sends each vertex to its position."""
+
+    __slots__ = ("lab", "start", "size", "live")
+
+    def __init__(self, lab: list[int], start: list[int], size: list[int], live: int):
+        self.lab = lab
+        self.start = start
+        self.size = size
+        self.live = live
+
+    @classmethod
+    def from_cells(cls, n: int, cells: list[list[int]]) -> _Partition:
+        lab: list[int] = []
+        start = [0] * n
+        size = [0] * n
+        live = 0
+        for cell in cells:
+            s = len(lab)
+            size[s] = len(cell)
+            for v in cell:
+                start[v] = s
+            if len(cell) > 1:
+                live |= mask_of(cell)
+            lab += cell
+        return cls(lab, start, size, live)
+
+    def copy(self) -> _Partition:
+        return _Partition(self.lab[:], self.start[:], self.size[:], self.live)
+
+    def target(self) -> int:
+        """The start of the first smallest non-singleton cell; -1 when every
+        cell is a singleton."""
+        size = self.size
+        best, best_size = -1, len(size) + 1
+        s = 0
+        while s < len(size):
+            k = size[s]
+            if 1 < k < best_size:
+                best, best_size = s, k
+                if k == 2:
+                    break
+            s += k
+        return best
+
+    def individualise(self, s: int, v: int) -> None:
+        """Split v off the front of the cell beginning at s; the others keep
+        their order behind it."""
+        lab, start = self.lab, self.start
+        k = self.size[s]
+        i = lab.index(v, s, s + k)
+        lab[s + 1:i + 1] = lab[s:i]
+        lab[s] = v
+        self.size[s] = 1
+        self.size[s + 1] = k - 1
+        for u in lab[s + 1:s + k]:
+            start[u] = s + 1
+        self.live &= ~(1 << v) if k > 2 else ~((1 << v) | (1 << lab[s + 1]))
+
+    def refine(self, rows: Sequence[int], splitters: Iterable[int]) -> None:
+        """Equitable refinement: split cells by neighbour counts into the
+        splitter masks, first ``splitters`` and then the parts split off,
+        until the queue is empty.  A splitter visits only the non-singleton
+        cells that its neighbourhood meets, in position order; each splits
+        in place into sub-cells ordered by count.  Every part but the first
+        largest is queued (Hopcroft's rule): its cell was either queued or
+        already used as a splitter, so the counts into the unqueued part are
+        those into the cell minus those into the other parts, and the result
+        is still equitable.  The result does not depend on the labels: it is
+        relabelling-equivariant, cell order included."""
+        lab, start, size = self.lab, self.start, self.size
+        live = self.live
+        queue = deque(splitters)
+        while queue and live:
+            w = queue.popleft()
+            # the bits are walked inline, not by elements_of: this is the
+            # search's innermost loop, and building the list slowed it
+            hit = 0
+            m = w
+            while m:
+                low = m & -m
+                hit |= rows[low.bit_length() - 1]
+                m ^= low
+            hit &= live
+            starts = set()
+            while hit:
+                low = hit & -hit
+                starts.add(start[low.bit_length() - 1])
+                hit ^= low
+            for s in sorted(starts):
+                k = size[s]
+                buckets: dict[int, list[int]] = {}
+                for v in lab[s:s + k]:
+                    buckets.setdefault((rows[v] & w).bit_count(), []).append(v)
+                if len(buckets) == 1:
+                    continue
+                parts = [buckets[key] for key in sorted(buckets)]
+                largest = max(map(len, parts))
+                for part in parts:
+                    k = len(part)
+                    size[s] = k
+                    lab[s:s + k] = part
+                    mask = 0
+                    for v in part:
+                        start[v] = s
+                        mask |= 1 << v
+                    if k == 1:
+                        live &= ~mask
+                    if k == largest:
+                        largest = 0
+                    else:
+                        queue.append(mask)
+                    s += k
+        self.live = live
+
+
 def _refine(rows: Sequence[int], cells: list[list[int]],
             splitters: Iterable[int]) -> list[list[int]]:
-    """Equitable refinement: split cells by neighbour counts into splitter
-    masks until stable.  Deterministic and relabelling-equivariant (cells are
-    kept in sequence order, sub-cells ordered by count key)."""
-    queue = deque(splitters)
-    live = sum(1 for c in cells if len(c) > 1)
-    while queue and live:
-        w_mask = queue.popleft()
-        out: list[list[int]] = []
-        for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
-                continue
-            buckets: dict[int, list[int]] = {}
-            for v in cell:
-                buckets.setdefault((rows[v] & w_mask).bit_count(), []).append(v)
-            if len(buckets) == 1:
-                out.append(cell)
-            else:
-                live -= 1
-                for key in sorted(buckets):
-                    part = buckets[key]
-                    out.append(part)
-                    if len(part) > 1:
-                        live += 1
-                    queue.append(mask_of(part))
-        cells = out
-    return cells
+    """``_Partition.refine`` on the ordered ``cells``, read back as a list of
+    cells in position order."""
+    part = _Partition.from_cells(len(rows), cells)
+    part.refine(rows, splitters)
+    out = []
+    s = 0
+    while s < len(part.lab):
+        out.append(part.lab[s:s + part.size[s]])
+        s += part.size[s]
+    return out
 
 
 @dataclass
@@ -129,11 +247,11 @@ class AutResult:
 
 @dataclass
 class _Frame:
-    """A branching node on the current path: its equitable cells, the cell it
-    branches on, the children left to try and those explored (the last is on
-    the path), the orbits of found automorphisms fixing its prefix, and
-    whether it lies on the first path."""
-    cells: list[list[int]]
+    """A branching node on the current path: its equitable partition, the
+    start of the cell it branches on, the children left to try and those
+    explored (the last is on the path), the orbits of found automorphisms
+    fixing its prefix, and whether it lies on the first path."""
+    part: _Partition
     target: int
     children: Iterator[int]
     orbits: _OrbitCache
@@ -160,29 +278,33 @@ class _AutSearch:
     def run(self) -> AutResult:
         if self.n == 0:
             return AutResult(0, [], [], (), 0, 1, [])
-        cells = _refine(self.graph.rows, self.cells, [mask_of(c) for c in self.cells])
+        part: Optional[_Partition] = _Partition.from_cells(self.n, self.cells)
+        part.refine(self.graph.rows, [mask_of(c) for c in self.cells])
         stack: list[_Frame] = []
-        while cells is not None:
+        while part is not None:
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExceeded("automorphism search", self.budget)
-            _, target = min(((len(c), i) for i, c in enumerate(cells) if len(c) > 1),
-                            default=(0, -1))
+            target = part.target()
             if target < 0:
-                self._leaf(cells, stack)
+                self._leaf(tuple(part.start), stack)
             else:
                 prefix = [f.explored[-1] for f in stack]
-                stack.append(_Frame(cells, target, iter(cells[target]),
+                cell = part.lab[target:target + part.size[target]]
+                stack.append(_Frame(part, target, iter(cell),
                                     _OrbitCache(self.n, prefix), self.first is None))
-            cells = self._next_child(stack)
+            part = self._next_child(stack)
         root = _OrbitCache(self.n, ())
         root.update(self.gens)
         return AutResult(self.n, list(self.gens), root.partition(),
                          self.best[0], self.nodes, self.order, self.first[2])
 
-    def _next_child(self, stack: list[_Frame]) -> Optional[list[list[int]]]:
-        """Cells of the next unpruned child of the deepest unfinished frame,
-        popping finished frames; None once the stack is empty.  A finished
+    def _next_child(self, stack: list[_Frame]) -> Optional[_Partition]:
+        """The partition of the next unpruned child of the deepest unfinished
+        frame, popping finished frames; None once the stack is empty.  The
+        child individualises v and refines from ``1 << v`` alone: the
+        frame's partition is equitable, and the rest of v's old cell is that
+        cell minus v, so it needs no queueing of its own.  A finished
         frame on the first path multiplies the order by the orbit of its
         first child (jumps back never remove such a frame: every leaf they
         compare with lies below it)."""
@@ -194,25 +316,22 @@ class _AutSearch:
                     if any(top.orbits.find(v) == top.orbits.find(u) for u in top.explored):
                         continue
                 top.explored.append(v)
-                rest = [u for u in top.cells[top.target] if u != v]
-                child = top.cells[:top.target] + [[v], rest] + top.cells[top.target + 1:]
-                return _refine(self.graph.rows, child, [1 << v, mask_of(rest)])
+                child = top.part.copy()
+                child.individualise(top.target, v)
+                child.refine(self.graph.rows, [1 << v])
+                return child
             if top.on_first_path:
                 top.orbits.update(self.gens)
                 self.order *= top.orbits.size[top.orbits.find(top.explored[0])]
             stack.pop()
         return None
 
-    def _leaf(self, cells: list[list[int]], stack: list[_Frame]) -> None:
+    def _leaf(self, perm: Perm, stack: list[_Frame]) -> None:
         """Compare the leaf with the first and the best leaf.  An equal key
         gives an automorphism that fixes the c vertices both paths share and
         maps the finished sibling subtree at depth c onto the current one, so
         the search jumps back to depth c."""
         path = [f.explored[-1] for f in stack]
-        pos = [0] * self.n
-        for idx, cell in enumerate(cells):
-            pos[cell[0]] = idx
-        perm = tuple(pos)
         key = tuple(self.graph.relabel(perm).rows)
         if self.first is None:
             self.first = self.best = (perm, key, path)

@@ -8,6 +8,7 @@ the algorithms under test.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from haarcay.groups import GroupTable, elements_of, mask_of
 
@@ -271,3 +272,33 @@ class ReferencePermGroup:
                 yield from walk(i - 1, _ref_pmul(prefix, t))
 
         return walk(len(self._levels) - 1, tuple(range(self.degree)))
+
+
+def reference_refine(rows, cells, splitters):
+    """The list-of-cells equitable refinement the IR search used before its
+    position-array partition: every splitter visits every cell, and every
+    part of a split cell is queued."""
+    queue = deque(splitters)
+    live = sum(1 for c in cells if len(c) > 1)
+    while queue and live:
+        w_mask = queue.popleft()
+        out: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            buckets: dict[int, list[int]] = {}
+            for v in cell:
+                buckets.setdefault((rows[v] & w_mask).bit_count(), []).append(v)
+            if len(buckets) == 1:
+                out.append(cell)
+            else:
+                live -= 1
+                for key in sorted(buckets):
+                    part = buckets[key]
+                    out.append(part)
+                    if len(part) > 1:
+                        live += 1
+                    queue.append(mask_of(part))
+        cells = out
+    return cells

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from haarcay.automorphisms import (
     Certificate,
     _AutSearch,
+    _Partition,
     _bfs_vertex_order,
+    _refine,
     _twin_classes,
     are_isomorphic,
     automorphism_group,
@@ -44,7 +46,7 @@ from haarcay.groups import (
 )
 from haarcay.perms import BudgetExceeded, PermGroup, bsgs, pmul
 
-from oracles import brute_force_graph_automorphisms
+from oracles import brute_force_graph_automorphisms, reference_refine
 
 
 def petersen():
@@ -563,6 +565,106 @@ def test_search_order_agrees_with_sympy():
         sym = PermutationGroup([Permutation(list(p)) for p in res.generators]
                                or [Permutation(g.n - 1)])
         assert res.order == sym.order(), g
+
+
+def test_search_on_large_sparse_graphs_agrees_with_sympy():
+    """Graphs above the 32 vertices of ``_search_order_graphs``, where a
+    splitter meets few of many cells: z23-z7-not-vt (112 vertices),
+    z24-z5-not-vt (160) and 20 copies of C5, each under three relabellings.
+    The order agrees with sympy's, every generator is an automorphism and
+    the canonical form does not depend on the labels.  Sympy's Schreier-Sims
+    starts from the search's base, which it extends if need be; without
+    that base it spends seconds on each copy of 20 C5."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+    from sympy.combinatorics.util import _distribute_gens_by_base, _orbits_transversals_from_bsgs
+
+    rng = random.Random(17)
+    graphs = [disjoint_union([cycle_graph(5)] * 20)]
+    for case_id in ("z23-z7-not-vt", "z24-z5-not-vt"):
+        case = CASE_INDEX[case_id]
+        H = group_from_spec(case.group)
+        graphs.append(haar_graph(H, connection_set(H, case.words))[0])
+    for x in graphs:
+        forms = set()
+        for _ in range(3):
+            perm = list(range(x.n))
+            rng.shuffle(perm)
+            g = x.relabel(perm)
+            res = automorphism_group(g)
+            assert all(g.is_automorphism(p) for p in res.generators)
+            sym = PermutationGroup([Permutation(list(p)) for p in res.generators])
+            base, strong = sym.schreier_sims_incremental(base=res.base)
+            orbits, _ = _orbits_transversals_from_bsgs(
+                base, _distribute_gens_by_base(base, strong))
+            assert res.order == math.prod(map(len, orbits))
+            forms.add(tuple(g.relabel(res.canonical).rows))
+        assert len(forms) == 1
+
+
+def _is_equitable(rows, cells):
+    masks = [mask_of(c) for c in cells]
+    return all(len({(rows[v] & w).bit_count() for v in cell}) == 1
+               for cell in cells for w in masks)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_refinement_agrees_with_the_reference(data):
+    """The position-array refinement, which queues all but the first largest
+    part of a split cell, against the list-of-cells loop that queued every
+    part.  The graphs are random graphs, Haar graphs and copies of a random
+    graph (the last two keep big cells to individualise in), with their
+    vertices shuffled.  From a random ordered colouring with every cell
+    queued, both give an equitable partition and the same cells, perhaps in
+    another order.  The result is relabelling-equivariant, cell order
+    included.  On an equitable partition, individualising v and refining
+    from ``1 << v`` alone gives the partition that queueing the rest of v's
+    cell too gives, and ``_Partition.individualise`` gives that child."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    kind = data.draw(st.sampled_from(["random", "haar", "copies"]), label="kind")
+    if kind == "random":
+        g = random_graph(data.draw(st.integers(1, 40), label="n"), rng.choice([0.1, 0.3, 0.5]), rng)
+    elif kind == "haar":
+        H = data.draw(st.sampled_from(constructor_catalog(20)), label="H")
+        g = haar_graph(H, rng.randrange(1 << H.order))[0]
+    else:
+        m = data.draw(st.integers(1, 8), label="m")
+        g = disjoint_union([random_graph(m, rng.choice([0.3, 0.5]), rng)] * (40 // m))
+    n = g.n
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    g = g.relabel(shuffled)
+    colours = data.draw(st.integers(1, 4), label="colours")
+    colour = [rng.randrange(colours) for _ in range(n)]
+    cells = [c for c in ([v for v in range(n) if colour[v] == k] for k in range(colours)) if c]
+    rng.shuffle(cells)
+    splitters = [mask_of(c) for c in cells]
+    refined = _refine(g.rows, cells, splitters)
+    assert _is_equitable(g.rows, refined)
+    assert sorted(map(sorted, refined)) == \
+        sorted(map(sorted, reference_refine(g.rows, cells, splitters)))
+
+    perm = list(range(n))
+    rng.shuffle(perm)
+    moved = _refine(g.relabel(perm).rows, [[perm[v] for v in c] for c in cells],
+                    [mask_of(perm[v] for v in c) for c in cells])
+    assert [{perm[v] for v in c} for c in refined] == [set(c) for c in moved]
+
+    targets = [i for i, c in enumerate(refined) if len(c) > 1]
+    if not targets:
+        return
+    t = data.draw(st.sampled_from(targets), label="target")
+    v = data.draw(st.sampled_from(refined[t]), label="v")
+    rest = [u for u in refined[t] if u != v]
+    child = refined[:t] + [[v], rest] + refined[t + 1:]
+    part = _Partition.from_cells(n, refined)
+    part.individualise(sum(map(len, refined[:t])), v)
+    part.refine(g.rows, [1 << v])
+    alone = _refine(g.rows, child, [1 << v])
+    assert part.lab == [u for c in alone for u in c]
+    assert _is_equitable(g.rows, alone)
+    assert sorted(map(sorted, alone)) == \
+        sorted(map(sorted, _refine(g.rows, child, [1 << v, mask_of(rest)])))
 
 
 def test_group_is_the_bsgs_read_off_the_search(monkeypatch):
