@@ -79,6 +79,6 @@ from .groups import (
     quotient,
     subgroup_generated,
 )
-from .perms import BudgetExceeded, PermGroup, bsgs
+from .perms import BudgetExceeded, PermGroup
 
 __all__ = [name for name in dir() if not name.startswith("_")]

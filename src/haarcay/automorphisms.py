@@ -665,35 +665,29 @@ def _bfs_vertex_order(graph: Graph) -> list[int]:
     return order
 
 
-def _copies(graph: Graph) -> Optional[list[list[int]]]:
-    """The components of the graph, or else of its complement, when there are
-    two or more (at most one of the two graphs is disconnected)."""
-    if graph.n < 2:
-        return None
+def _copy_level(graph: Graph, aut: AutResult,
+                ir_budget: int) -> Optional[tuple[list[list[int]], Graph, AutResult]]:
+    """The graph as m copies of one graph Z when it or its complement is
+    disconnected (at most one of the two is): the fibres, Z and Z's result,
+    as in ``AutResult.twin_quotient``; else None.  Z is the copy of vertex 0,
+    relabelled 0, 1, ... in vertex order and searched within ``ir_budget``.
+    Fibre v holds the image of Z's vertex v in every copy, each copy reached
+    through the element of Aut carrying vertex 0 to its first vertex, an
+    automorphism that maps the first copy onto it."""
     for g in (graph, graph.complement()):
         parts = components(g)
         if len(parts) > 1:
-            return parts
-    return None
-
-
-def _induced(graph: Graph, vertices: Sequence[int]) -> Graph:
-    """The subgraph on ``vertices``, relabelled 0, 1, ... in their order."""
-    index = {v: i for i, v in enumerate(vertices)}
-    keep = mask_of(vertices)
-    return Graph(len(vertices),
-                 [mask_of(index[u] for u in elements_of(graph.rows[v] & keep))
-                  for v in vertices], validate=False)
-
-
-def _copy_fibres(parts: list[list[int]], aut_gens: Sequence[Perm]) -> list[list[int]]:
-    """The m copies as fibres over the first: fibre v holds the image of
-    ``parts[0][v]`` in every copy, each copy j reached through the element of
-    <aut_gens> carrying vertex 0 to its first vertex, an automorphism that
-    maps the first copy onto copy j."""
-    transversal = _transversal_of_0(aut_gens, sum(len(part) for part in parts))
+            break
+    else:
+        return None
+    first = parts[0]
+    index = {v: i for i, v in enumerate(first)}
+    keep = mask_of(first)
+    copy = Graph(len(first), [mask_of(index[u] for u in elements_of(graph.rows[v] & keep))
+                              for v in first], validate=False)
+    transversal = _transversal_of_0(aut.generators, graph.n)
     maps = [transversal[part[0]] for part in parts]
-    return [[t[v] for t in maps] for v in parts[0]]
+    return [[t[v] for t in maps] for v in first], copy, automorphism_group(copy, budget=ir_budget)
 
 
 def _lift_fibres(gens: Sequence[Perm], fibres: list[list[int]]) -> list[Perm]:
@@ -714,18 +708,22 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     vertex-transitivity (intransitive means NonCayley); then, when provenance
     hints are present, the part-swap certificate (the right translations and
     a part-swapping map whose square is a translation); then the regular
-    stage.  While it can, it reduces the graph to m fibres over a smaller
-    graph Z: m copies of Z when the graph or its complement is disconnected
-    (Z is the copy of vertex 0, searched within ``ir_budget``), else its
-    twin classes over the twin quotient Z (taken with its result from the
-    graph's own search).  Both are lexicographic products with E_m or K_m,
-    so a regular group R of Z lifts to R x Z_m, member by member with a
-    cyclic shift of every fibre, and the lift is checked on the graph.
-    ``regular_subgroup_search`` runs in Aut of the last Z.  Copies are Cayley
-    exactly when Z is, twins when Z is but not only then (Petersen[E2]), so
-    a twin level whose Z yields no regular group searches its own graph.
-    Unknown only on budget exhaustion.  Hints whose Haar graph is not the
-    graph given raise ``ValueError``.
+    stage, one recursion over fibre levels.  A level sees the graph as m
+    fibres over a smaller graph Z and comes with Z's automorphism result.  It
+    is a copy level when the graph or its complement is disconnected: m
+    copies of Z, the copy of vertex 0, searched within ``ir_budget`` (its
+    nodes count).  Else it is the twin level of the graph's own search,
+    ``AutResult.twin_quotient`` (no second search, no second count).  Both
+    are lexicographic products with E_m or K_m, so a regular group R of Z
+    lifts to R x Z_m, member by member with a cyclic shift of every fibre.
+    The recursion runs on Z and lifts what it finds; with no level left,
+    ``regular_subgroup_search`` runs in Aut of the graph.  Copies are Cayley
+    exactly when Z is, so a copy level returns Z's answer; twins are Cayley
+    when Z is but not only then (Petersen[E2]), so a twin level whose Z
+    yields no regular group searches its own graph.  A lifted group is built
+    once, on the whole graph, and checked.  Unknown only on budget
+    exhaustion.  Hints whose Haar graph is not the graph given raise
+    ``ValueError``.
     """
     t0 = time.perf_counter()
     seeds: list[Perm] = []
@@ -733,72 +731,57 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
         if haar_graph(hints.table, hints.spokes)[0] != graph:
             raise ValueError("the hints' Haar graph is not the graph given")
         seeds = right_translation_group_perms(hints.table)
-    try:
-        aut = automorphism_group(graph, seeds, ir_budget)
-    except BudgetExceeded as exc:
-        return Certificate("unknown", budget_report={"stage": exc.what, "budget": exc.budget},
-                           millis=(time.perf_counter() - t0) * 1000)
-    if len(aut.orbits) > 1:
-        return Certificate("non_cayley", orbit_partition=aut.orbits, nodes=aut.nodes,
-                           millis=(time.perf_counter() - t0) * 1000)
-    if hints is not None:
-        swap = cayley_certificate_from_swaps(hints.table, hints.spokes)
-        if swap is not None:
-            group, witness = swap
-            return Certificate("cayley", regular_generators=list(group.generators),
-                               swap_witness=witness, nodes=aut.nodes,
-                               millis=(time.perf_counter() - t0) * 1000)
-    nodes = aut.nodes
-    reductions: list[tuple[list[list[int]], Optional[tuple[Graph, AutResult]]]] = []
-    z, z_aut = graph, aut
-    while True:
-        if (parts := _copies(z)) is not None:
-            reductions.append((_copy_fibres(parts, z_aut.generators), None))
-            z = _induced(z, parts[0])
-            try:
-                z_aut = automorphism_group(z, budget=ir_budget)
-            except BudgetExceeded as exc:
-                return Certificate("unknown",
-                                   budget_report={"stage": exc.what, "budget": exc.budget},
-                                   nodes=nodes, millis=(time.perf_counter() - t0) * 1000)
-            nodes += z_aut.nodes
-        elif z_aut.twin_quotient is not None:
-            classes, quotient, quotient_aut = z_aut.twin_quotient
-            reductions.append((classes, (z, z_aut)))
-            z, z_aut = quotient, quotient_aut
-        else:
-            break
+    nodes = 0
+
+    def regular(z: Graph,
+                z_aut: AutResult) -> tuple[Optional[list[Perm]], Optional[PermGroup], bool]:
+        """Generators of a regular group of z or None, the regular search's
+        group when they are its own (nothing lifted), and whether the
+        answer is definitive."""
+        nonlocal nodes
         if len(z_aut.orbits) > 1:
             raise RuntimeError("a reduction of a vertex-transitive graph is intransitive")
-    outcome = regular_subgroup_search(z_aut.group, budget=regular_budget,
-                                      vertex_order=_bfs_vertex_order(z))
-    nodes += outcome.nodes
-    group, exhausted = outcome.group, outcome.exhausted
-    gens = None if group is None else group.generators
-    for fibres, one_way in reversed(reductions):
-        if gens is not None:
-            gens = _lift_fibres(gens, fibres)
-            group = None
-        elif one_way is not None:
-            parent, parent_aut = one_way
-            outcome = regular_subgroup_search(parent_aut.group, budget=regular_budget,
-                                              vertex_order=_bfs_vertex_order(parent))
-            nodes += outcome.nodes
-            group, exhausted = outcome.group, outcome.exhausted
-            gens = None if group is None else group.generators
-    if gens is not None and group is None:
-        group = PermGroup(graph.n, gens)
-        if not group.is_regular():
-            raise RuntimeError("lifted regular group is not regular")
-    millis = (time.perf_counter() - t0) * 1000
-    if group is not None:
-        if not all(graph.is_automorphism(p) for p in group.generators):
-            raise RuntimeError("regular subgroup generator is not an automorphism")
-        return Certificate("cayley", regular_generators=list(group.generators),
-                           nodes=nodes, millis=millis)
-    if exhausted:
-        return Certificate("non_cayley", exhausted_search=True, nodes=nodes, millis=millis)
-    return Certificate("unknown",
-                       budget_report={"stage": "regular subgroup search",
-                                      "budget": regular_budget},
-                       nodes=nodes, millis=millis)
+        copies = _copy_level(z, z_aut, ir_budget)
+        nodes += copies[2].nodes if copies else 0
+        if (level := copies or z_aut.twin_quotient) is not None:
+            fibres, y, y_aut = level
+            gens, _, exhausted = regular(y, y_aut)
+            if gens is not None:
+                return _lift_fibres(gens, fibres), None, True
+            if copies:
+                return None, None, exhausted
+        outcome = regular_subgroup_search(z_aut.group, budget=regular_budget,
+                                          vertex_order=_bfs_vertex_order(z))
+        nodes += outcome.nodes
+        group = outcome.group
+        return None if group is None else group.generators, group, outcome.exhausted
+
+    try:
+        aut = automorphism_group(graph, seeds, ir_budget)
+        nodes = aut.nodes
+        if len(aut.orbits) > 1:
+            cert = Certificate("non_cayley", orbit_partition=aut.orbits)
+        elif hints is not None and \
+                (swap := cayley_certificate_from_swaps(hints.table, hints.spokes)) is not None:
+            cert = Certificate("cayley", regular_generators=list(swap[0].generators),
+                               swap_witness=swap[1])
+        else:
+            gens, group, exhausted = regular(graph, aut)
+            if gens is not None and group is None:
+                group = PermGroup(graph.n, gens)
+                if not group.is_regular():
+                    raise RuntimeError("lifted regular group is not regular")
+            if group is not None:
+                if not all(graph.is_automorphism(p) for p in group.generators):
+                    raise RuntimeError("regular subgroup generator is not an automorphism")
+                cert = Certificate("cayley", regular_generators=list(group.generators))
+            elif exhausted:
+                cert = Certificate("non_cayley", exhausted_search=True)
+            else:
+                cert = Certificate("unknown", budget_report={"stage": "regular subgroup search",
+                                                             "budget": regular_budget})
+    except BudgetExceeded as exc:
+        cert = Certificate("unknown", budget_report={"stage": exc.what, "budget": exc.budget})
+    cert.nodes = nodes
+    cert.millis = (time.perf_counter() - t0) * 1000
+    return cert

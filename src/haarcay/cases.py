@@ -278,12 +278,20 @@ def check_quotient_obstruction(H: GroupTable, normal: int, quotient_set: int) ->
                              aut.nodes)
 
 
+# every anchored spoke set of a group of order n is one of 2^(n-1) subsets
+_MAX_ENUMERATION_ORDER = 16
+
+
+def _check_enumeration_order(H: GroupTable) -> None:
+    if H.order > _MAX_ENUMERATION_ORDER:
+        raise ValueError(f"exhaustive enumeration capped at order {_MAX_ENUMERATION_ORDER}")
+
+
 def anchored_class_representatives(H: GroupTable) -> list[int]:
     """One representative per equivalence class of anchored spoke sets
     (identity in S) under group automorphisms, inversion, and re-anchored
     left translates.  Exact orbit computation on the subset lattice."""
-    if H.order > 16:
-        raise ValueError("exhaustive enumeration capped at order 16")
+    _check_enumeration_order(H)
     auts = group_automorphisms(H)
     seen: set[int] = set()
     reps: list[int] = []
@@ -311,7 +319,9 @@ def enumerate_haar(H: GroupTable, connected_only: bool = False,
                    dedupe: bool = True, ir_budget: int = IR_BUDGET,
                    regular_budget: int = REGULAR_BUDGET) -> Iterator[tuple[int, Certificate]]:
     """Classify Haar graphs of H over anchored spoke sets (one per
-    equivalence class when dedupe is on)."""
+    equivalence class when dedupe is on).  Either way the order is capped
+    before the first verdict, since without dedupe every set gets one."""
+    _check_enumeration_order(H)
     full = (1 << H.order) - 1
     sets = anchored_class_representatives(H) if dedupe else \
         list(range(1, 1 << H.order, 2))

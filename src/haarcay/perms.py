@@ -377,13 +377,3 @@ class PermGroup:
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
-
-def bsgs(generators: Sequence[Perm], degree: Optional[int] = None,
-         base_prefix: Sequence[int] = ()) -> PermGroup:
-    """Build a PermGroup from generators (degree inferred when omitted)."""
-    gens = [tuple(g) for g in generators]
-    if degree is None:
-        if not gens:
-            raise ValueError("degree required for the trivial group")
-        degree = len(gens[0])
-    return PermGroup(degree, gens, base_prefix=base_prefix)

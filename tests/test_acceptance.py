@@ -63,7 +63,7 @@ from haarcay.groups import (
     quaternion_group,
     right_translate_mask,
 )
-from haarcay.perms import PermGroup, bsgs
+from haarcay.perms import PermGroup
 
 from oracles import (
     brute_force_graph_automorphisms,
@@ -329,7 +329,7 @@ def test_criterion_13_transitivity_module_suite():
         auts = group_automorphisms(H)
         alpha = auts[rng.randrange(len(auts))]
         gens = [cayley_right_translation(H, g) for g in range(H.order)]
-        G = bsgs(gens + [tuple(alpha)], degree=H.order)
+        G = PermGroup(H.order, gens + [tuple(alpha)])
         rep = module_law_suite(H, G)
         if not rep.passed:
             failures.append((H.tag, rep.failures()))

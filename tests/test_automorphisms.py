@@ -44,7 +44,7 @@ from haarcay.groups import (
     mp_group,
     quaternion_group,
 )
-from haarcay.perms import BudgetExceeded, PermGroup, bsgs, pmul
+from haarcay.perms import BudgetExceeded, PermGroup, pmul
 
 from oracles import brute_force_graph_automorphisms, reference_refine
 
@@ -467,7 +467,7 @@ def test_generic_status_agrees_on_copies_and_complement(data):
 
 
 def test_regular_subgroup_intransitive_input():
-    G = bsgs([(1, 0, 2, 3)])  # fixes 2,3: intransitive
+    G = PermGroup(4, [(1, 0, 2, 3)])  # fixes 2,3: intransitive
     res = regular_subgroup_search(G)
     assert res.group is None and res.exhausted
 
@@ -711,7 +711,7 @@ def test_group_is_the_bsgs_read_off_the_search(monkeypatch):
             assert group.base[0] == 0, g
         if not res.generators:
             continue
-        reference = bsgs(res.generators, g.n) if g.n <= 32 else None
+        reference = PermGroup(g.n, res.generators) if g.n <= 32 else None
         for _ in range(3):
             p = tuple(range(g.n))
             for _ in range(rng.randrange(1, 6)):
@@ -856,6 +856,37 @@ def test_generic_status_falls_back_when_the_twin_quotient_is_not_cayley():
     g = lex_product(petersen(), empty_graph(2))
     cert = cayley_status(g, regular_budget=50_000)
     assert cert.verdict == "cayley" and verify_certificate(g, cert)
+
+
+def test_generic_status_pins_the_exits_of_the_reduction(monkeypatch):
+    """Which regular searches each exit of the regular stage runs, by
+    degree.  Copies of a non-Cayley graph, and their complement, are decided
+    on one copy and never searched whole; a twin blow-up whose quotient is
+    not Cayley searches the quotient and then its own graph; and an IR budget
+    that runs out in the first search reports no nodes."""
+    degrees = []
+    search = automorphisms.regular_subgroup_search
+
+    def recording(aut, *args, **kwargs):
+        degrees.append(aut.degree)
+        return search(aut, *args, **kwargs)
+
+    monkeypatch.setattr(automorphisms, "regular_subgroup_search", recording)
+    p = petersen()
+    two = disjoint_union([p] * 2)
+    for g in (two, two.complement(), disjoint_union([p] * 3)):
+        degrees.clear()
+        cert = cayley_status(g)
+        assert cert.verdict == "non_cayley" and cert.exhausted_search
+        assert degrees == [10]
+    degrees.clear()
+    g = lex_product(p, empty_graph(2))
+    cert = cayley_status(g)
+    assert cert.verdict == "cayley" and verify_certificate(g, cert)
+    assert degrees == [10, 20]
+    cert = cayley_status(p, ir_budget=1)
+    assert cert.verdict == "unknown" and cert.nodes == 0
+    assert cert.budget_report == {"stage": "automorphism search", "budget": 1}
 
 
 def test_certificate_json_roundtrip():

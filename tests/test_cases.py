@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -436,6 +437,20 @@ def test_cli_enumerate_reads_budget_env(capsys, monkeypatch):
     assert main(["enumerate", "Q8", "--dedupe"]) == 1
     rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
     assert any(row["verdict"] == "unknown" and "budget_report" in row for row in rows)
+
+
+def test_enumerate_without_dedupe_is_capped_before_the_first_verdict(capsys):
+    """Without --dedupe every anchored spoke set gets a verdict, 2^17 of
+    them over Dihedral(9), so the order cap of the dedupe path holds here
+    too, and it stops the run before any verdict."""
+    from haarcay.cli import main
+    with pytest.raises(ValueError, match="order 16"):
+        next(enumerate_haar(dihedral_group(9), dedupe=False))
+    t0 = time.perf_counter()
+    assert main(["enumerate", "Dihedral(9)"]) == 2
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
 def test_cli_aut_budget_env_yields_unknown(tmp_path, capsys, monkeypatch):

@@ -26,7 +26,7 @@ from haarcay.groups import (
     miller_moreno_group,
     quaternion_group,
 )
-from haarcay.perms import bsgs
+from haarcay.perms import PermGroup
 
 
 def naive_convolution(H, u, v):
@@ -36,20 +36,19 @@ def naive_convolution(H, u, v):
 
 
 def translations_group(H):
-    return bsgs([cayley_right_translation(H, g) for g in range(H.order)],
-                degree=H.order)
+    return PermGroup(H.order, [cayley_right_translation(H, g) for g in range(H.order)])
 
 
 def holomorph_c5():
     H = cyclic_group(5)
     mult2 = tuple((2 * x) % 5 for x in range(5))
-    return H, bsgs([cayley_right_translation(H, 1), mult2], degree=5)
+    return H, PermGroup(5, [cayley_right_translation(H, 1), mult2])
 
 
 def c8_with_negation():
     H = cyclic_group(8)
     neg = tuple((-x) % 8 for x in range(8))
-    return H, bsgs([cayley_right_translation(H, 1), neg], degree=8)
+    return H, PermGroup(8, [cayley_right_translation(H, 1), neg])
 
 
 def test_convolution_translate_identity():
@@ -132,13 +131,13 @@ def test_transitivity_module_c8_negation():
 def test_transitivity_module_requires_translations():
     H = cyclic_group(6)
     with pytest.raises(ValueError, match="right translations"):
-        transitivity_module(H, bsgs([(1, 0, 2, 3, 4, 5)], degree=6))
+        transitivity_module(H, PermGroup(6, [(1, 0, 2, 3, 4, 5)]))
 
 
 def test_blocks():
     H = cyclic_group(6)
     neg = tuple((-x) % 6 for x in range(6))
-    G = bsgs([cayley_right_translation(H, 1), neg], degree=6)
+    G = PermGroup(6, [cayley_right_translation(H, 1), neg])
     assert is_block_of_imprimitivity(G, [0, 3])
     assert is_block_of_imprimitivity(G, list(range(6)))
     assert is_block_of_imprimitivity(G, [2])
@@ -161,11 +160,11 @@ def test_module_law_suite_randomized_augmentations():
         H = rng.choice(groups)
         auts = group_automorphisms(H)
         alpha = auts[rng.randrange(len(auts))]
-        G = bsgs([cayley_right_translation(H, g) for g in (1, 2 % H.order)]
-                 + [tuple(alpha)], degree=H.order)
+        G = PermGroup(H.order, [cayley_right_translation(H, g) for g in (1, 2 % H.order)]
+                      + [tuple(alpha)])
         # make sure all translations are inside (alpha normalizes them)
-        G = bsgs(G.generators + [cayley_right_translation(H, g) for g in range(H.order)],
-                 degree=H.order)
+        G = PermGroup(H.order,
+                      G.generators + [cayley_right_translation(H, g) for g in range(H.order)])
         report = module_law_suite(H, G)
         assert report.passed, (H.tag, report.failures())
 

@@ -27,7 +27,6 @@ from haarcay.groups import (
 )
 from haarcay.perms import (
     PermGroup,
-    bsgs,
     identity_perm,
     is_identity,
     perm_order,
@@ -60,13 +59,13 @@ def test_perm_primitives():
 
 def test_symmetric_group_order():
     for n in (3, 4, 5, 6, 13):
-        G = bsgs(sym_gens(n))
+        G = PermGroup(n, sym_gens(n))
         assert G.order == math.factorial(n)
-    assert bsgs(sym_gens(13)).order > 2 ** 32  # exact big-int order
+    assert PermGroup(13, sym_gens(13)).order > 2 ** 32  # exact big-int order
 
 
 def test_alternating_group_order():
-    a5 = bsgs([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])  # 5-cycle and 3-cycle
+    a5 = PermGroup(5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])  # 5-cycle and 3-cycle
     assert a5.order == 60 and a5.is_transitive()
     assert a5.stabilizer(0).order == 12
 
@@ -83,7 +82,7 @@ def test_right_translations_give_group_of_order_h():
     for H in (cyclic_group(6), dihedral_group(5), quaternion_group()):
         S = mask_of(range(H.order)) & ~1 | 1
         gens = [right_translation_vertex_perm(H, g) for g in range(H.order)]
-        G = bsgs(gens)
+        G = PermGroup(2 * H.order, gens)
         assert G.order == H.order
         orbits = G.orbits()
         assert sorted(len(o) for o in orbits) == [H.order, H.order]
@@ -99,7 +98,7 @@ def test_cayley_action_is_regular():
         return tuple(H.mult[h][g] for h in range(H.order))
 
     for H in (cyclic_group(7), dihedral_group(4), quaternion_group()):
-        G = bsgs([cayley_perm(H, g) for g in range(H.order)])
+        G = PermGroup(H.order, [cayley_perm(H, g) for g in range(H.order)])
         assert G.is_regular()
         assert G.stabilizer(0).order == 1
 
@@ -113,7 +112,7 @@ def test_order_matches_exhaustive_enumeration():
             p = list(range(n))
             rng.shuffle(p)
             gens.append(tuple(p))
-        G = bsgs(gens, degree=n)
+        G = PermGroup(n, gens)
         if G.order <= 10 ** 4:
             assert G.order == len(set(G.elements()))
             # a chain of length two or more lists each element exactly once
@@ -127,7 +126,7 @@ def test_orbit_stabilizer_relation():
     rng = random.Random(9)
     for n, gens in [(6, sym_gens(6)), (8, [cyc_perm(8)]),
                     (6, [cyc_perm(6), tuple((-i) % 6 for i in range(6))])]:
-        G = bsgs(gens, degree=n)
+        G = PermGroup(n, gens)
         for _ in range(4):
             v = rng.randrange(n)
             assert G.order == len(G.orbit_of(v)) * G.stabilizer(v).order
@@ -135,7 +134,7 @@ def test_orbit_stabilizer_relation():
 
 def test_membership_products_and_rejection():
     rng = random.Random(13)
-    G = bsgs([cyc_perm(10), tuple((-i) % 10 for i in range(10))])  # dihedral, order 20
+    G = PermGroup(10, [cyc_perm(10), tuple((-i) % 10 for i in range(10))])  # dihedral, order 20
     assert G.order == 20
     for _ in range(20):
         p = identity_perm(10)
@@ -152,25 +151,25 @@ def test_membership_products_and_rejection():
 
 
 def test_stabilizer_sizes():
-    G = bsgs(sym_gens(6))
+    G = PermGroup(6, sym_gens(6))
     assert G.stabilizer(3).order == math.factorial(5)
-    D6 = bsgs([cyc_perm(6), tuple((-i) % 6 for i in range(6))])
+    D6 = PermGroup(6, [cyc_perm(6), tuple((-i) % 6 for i in range(6))])
     assert D6.order == 12
     assert D6.stabilizer(0).order == 2  # the reflection through the vertex
 
 
 def test_base_is_deterministic_smallest_nonfixed():
-    G = bsgs(sym_gens(5))
+    G = PermGroup(5, sym_gens(5))
     assert G.base[0] == 0
-    G2 = bsgs([cyc_perm(6, 2), cyc_perm(6, 4)])  # fixes nothing, moves 0
+    G2 = PermGroup(6, [cyc_perm(6, 2), cyc_perm(6, 4)])  # fixes nothing, moves 0
     assert G2.base == [0]
 
 
 def test_normalizes():
-    C6 = bsgs([cyc_perm(6)])
-    D6 = bsgs([cyc_perm(6), tuple((-i) % 6 for i in range(6))])
+    C6 = PermGroup(6, [cyc_perm(6)])
+    D6 = PermGroup(6, [cyc_perm(6), tuple((-i) % 6 for i in range(6))])
     assert D6.normalizes(C6)
-    S6 = bsgs(sym_gens(6))
+    S6 = PermGroup(6, sym_gens(6))
     assert not S6.normalizes(C6)
 
 
@@ -179,7 +178,7 @@ def test_semiregular_iff_trivial_point_stabilizers():
     H = quaternion_group()
     g, _ = haar_graph(H, mask_of([0, 4]))
     gens = [right_translation_vertex_perm(H, a) for a in (H.gen("i"), H.gen("j"))]
-    G = bsgs(gens)
+    G = PermGroup(g.n, gens)
     assert G.is_semiregular()
     for v in range(G.degree):
         assert G.stabilizer(v).order == 1
