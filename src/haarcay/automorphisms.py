@@ -530,33 +530,33 @@ def _transversal_of_0(gens: Sequence[Perm], n: int) -> dict[int, Perm]:
     return _schreier_tree(0, [(g, pinv(g)) for g in gens], identity_perm(n))[0]
 
 
-def regular_subgroup_search(aut: PermGroup, budget: int = REGULAR_BUDGET,
-                            vertex_order: Optional[Sequence[int]] = None) -> RegularSearchOutcome:
-    """Search for a subgroup acting regularly on all points.
+def regular_subgroup_search(graph: Graph, aut: AutResult,
+                            budget: int = REGULAR_BUDGET) -> RegularSearchOutcome:
+    """Search Aut of the graph, given as its ``AutResult``, for a subgroup
+    acting regularly on the vertices.
 
-    Transversal-based backtracking: walk the vertices in the given order
-    (breadth-first from the base vertex by default), and for the first vertex
-    v outside the current orbit of the base, try every automorphism mapping
-    base -> v, closing the partial subgroup under products.  Every element of
-    a regular group is semiregular (all its cycles have one length), so a
-    candidate that is not is rejected before closure, and a closure fails as
-    soon as it meets such an element or outgrows the degree.  Each rejected
-    candidate counts as one node, as each closure element does, so the budget
-    bounds the whole walk.  Exhausting the search space is a definitive "no
-    regular subgroup"; running out of budget is not.
+    Transversal-based backtracking: walk the vertices breadth-first from 0,
+    and for the first vertex v outside the current orbit of 0, try every
+    automorphism mapping 0 -> v, closing the partial subgroup under products.
+    Every element of a regular group is semiregular (all its cycles have one
+    length), so a candidate that is not is rejected before closure, and a
+    closure fails as soon as it meets such an element or outgrows the degree.
+    A closure that succeeds is a semiregular group, so its orbit of 0 has as
+    many vertices as it has elements: n of them make it regular, fewer leave
+    a vertex outside.  Each rejected candidate counts as one node, as each
+    closure element does, so the budget bounds the whole walk.  Exhausting
+    the search space is a definitive "no regular subgroup"; running out of
+    budget is not.
     """
-    n = aut.degree
-    if n == 0 or not aut.is_transitive():
+    n = graph.n
+    if n == 0 or len(aut.orbits) > 1:
         return RegularSearchOutcome(None, True, 0)
-    if aut.order % n != 0:
-        return RegularSearchOutcome(None, True, 0)
+    group = aut.group
     if aut.order == n:
-        return RegularSearchOutcome(aut, True, 0)
-    order = list(vertex_order) if vertex_order is not None else list(range(n))
-    if order[:1] != [0] or sorted(order) != list(range(n)):
-        raise ValueError("vertex order must list every vertex once, starting at the base vertex 0")
-    transversal = _transversal_of_0(aut.generators, n)
-    stab0 = aut.stabilizer(0)
+        return RegularSearchOutcome(group, True, 0)
+    walk = _bfs_vertex_order(graph)
+    transversal = _transversal_of_0(group.generators, n)
+    stab0 = group.stabilizer(0)
     nodes = 0
     ident = identity_perm(n)
 
@@ -585,12 +585,10 @@ def regular_subgroup_search(aut: PermGroup, budget: int = REGULAR_BUDGET,
         return frozenset(result)
 
     def extend(elems: frozenset, gens: tuple[Perm, ...]) -> Optional[tuple[Perm, ...]]:
-        orbit = {p[0] for p in elems}
         if len(elems) == n:
-            return gens if len(orbit) == n else None
-        v = next((u for u in order if u not in orbit), None)
-        if v is None:
-            return None  # transitive but order < n: cannot become regular
+            return gens
+        orbit = {p[0] for p in elems}
+        v = next(u for u in walk if u not in orbit)
         for s in stab0.elements():
             cand = pmul(s, transversal[v])
             if not _is_semiregular(cand):
@@ -750,8 +748,7 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
                 return _lift_fibres(gens, fibres), None, True
             if copies:
                 return None, None, exhausted
-        outcome = regular_subgroup_search(z_aut.group, budget=regular_budget,
-                                          vertex_order=_bfs_vertex_order(z))
+        outcome = regular_subgroup_search(z, z_aut, regular_budget)
         nodes += outcome.nodes
         group = outcome.group
         return None if group is None else group.generators, group, outcome.exhausted

@@ -26,6 +26,7 @@ from .graphs import Graph, complete_bipartite, empty_graph, haar_graph, lex_prod
 from .groups import (
     GroupConstructionError,
     GroupTable,
+    _is_prime,
     connection_set,
     cyclic_group,
     dihedral_group,
@@ -446,6 +447,10 @@ def reproduce_all(case_ids: Optional[list[str]] = None) -> list[dict]:
 
 # -- inner-abelian scan -----------------------------------------------------------
 
+# the scan's largest order: 64 already takes seconds, 100 most of a minute
+_SCAN_ORDER_CAP = 100
+
+
 def _family_groups(mp_primes: tuple[int, ...], mp_max: tuple[int, int],
                    mm_primes: tuple[int, ...], mm_max: tuple[int, int],
                    keep: Callable[[int], bool]) -> Iterator[GroupTable]:
@@ -500,19 +505,24 @@ def constructor_catalog(max_order: int) -> list[GroupTable]:
 def inner_abelian_family_member(H: GroupTable) -> Optional[str]:
     """The inner-abelian family member isomorphic to H, if any: the
     quaternion group, a two-generator p-group from the catalog families, or
-    an elementary-by-cyclic semidirect product."""
+    an elementary-by-cyclic semidirect product.  Primes run up to |H| and
+    exponents up to its bit length; the cyclic part's prime stays in
+    {2, 3, 5, 7}, enough for every one below order 253."""
     if H.order == 8 and group_isomorphism(H, quaternion_group()) is not None:
         return "Q8"
-    for G in _family_groups((2, 3, 5, 7), (9, 7), (2, 3, 5, 7, 11, 13), (5, 5),
-                            lambda order: order == H.order):
+    primes = tuple(p for p in range(2, H.order + 1) if _is_prime(p))
+    bounds = (H.order.bit_length(),) * 2
+    for G in _family_groups(primes, bounds, primes, bounds, lambda order: order == H.order):
         if group_isomorphism(H, G) is not None:
             return G.tag
     return None
 
 
 def inner_abelian_scan(max_order: int) -> list[dict]:
-    """Inner-abelian groups in the constructor catalog up to the cap, each
-    cross-checked against the classification families."""
+    """Inner-abelian groups in the constructor catalog up to ``max_order``
+    (at most ``_SCAN_ORDER_CAP``), each cross-checked against the families."""
+    if max_order > _SCAN_ORDER_CAP:
+        raise ValueError(f"max order {max_order} is above the scan's cap of {_SCAN_ORDER_CAP}")
     out = []
     seen_tags = set()
     for H in constructor_catalog(max_order):

@@ -8,7 +8,6 @@ from haarcay.automorphisms import (
     Certificate,
     _AutSearch,
     _Partition,
-    _bfs_vertex_order,
     _refine,
     _twin_classes,
     are_isomorphic,
@@ -305,21 +304,10 @@ def test_haar_q8_valency7_is_k88_minus_matching():
 
 
 def test_regular_subgroup_in_cycle():
-    res = regular_subgroup_search(automorphism_group(cycle_graph(6)).group)
+    g = cycle_graph(6)
+    res = regular_subgroup_search(g, automorphism_group(g))
     assert res.group is not None
     assert res.group.order == 6 and res.group.is_regular()
-
-
-@pytest.mark.parametrize("vertex_order", [[0], [0, 1, 2, 3, 4], [1, 0, 2, 3, 4, 5],
-                                          [0, 1, 1, 3, 4, 5], [0, 1, 2, 3, 4, 6], []])
-def test_regular_subgroup_search_refuses_a_partial_vertex_order(vertex_order):
-    # C6 is Cayley: an order that skips vertices used to report a false
-    # exhausted search with no regular subgroup
-    aut = automorphism_group(cycle_graph(6)).group
-    with pytest.raises(ValueError, match="vertex order"):
-        regular_subgroup_search(aut, vertex_order=vertex_order)
-    res = regular_subgroup_search(aut, vertex_order=[0, 5, 4, 3, 2, 1])
-    assert res.group is not None and res.group.is_regular()
 
 
 def test_seeds_with_images_outside_the_graph_are_refused():
@@ -332,8 +320,8 @@ def test_regular_subgroup_search_walks_every_stabilizer_element():
     # elements used to report exhaustion here without finding a regular group
     H = cyclic_group(8)
     g, _ = haar_graph(H, mask_of([0, 4]))
-    aut = automorphism_group(g, right_translation_group_perms(H)).group
-    res = regular_subgroup_search(aut, budget=20_000, vertex_order=_bfs_vertex_order(g))
+    aut = automorphism_group(g, right_translation_group_perms(H))
+    res = regular_subgroup_search(g, aut, budget=20_000)
     assert res.group is not None or not res.exhausted
     if res.group is not None:
         assert res.group.is_regular()
@@ -440,11 +428,12 @@ def test_regular_search_budget_counts_rejected_candidates():
     automorphisms of the Petersen graph are semiregular.  Rejected candidates
     count against the budget, so a budget below the full walk ends
     unexhausted instead of claiming an exhausted search."""
-    aut = automorphism_group(petersen()).group
-    assert sum(PermGroup(10, [p]).is_semiregular() for p in aut.elements()) == 25
-    full = regular_subgroup_search(aut)
+    g = petersen()
+    aut = automorphism_group(g)
+    assert sum(PermGroup(10, [p]).is_semiregular() for p in aut.group.elements()) == 25
+    full = regular_subgroup_search(g, aut)
     assert full.group is None and full.exhausted and full.nodes > 80
-    cut = regular_subgroup_search(aut, budget=80)
+    cut = regular_subgroup_search(g, aut, budget=80)
     assert cut.group is None and not cut.exhausted and cut.nodes == 81
 
 
@@ -467,18 +456,37 @@ def test_generic_status_agrees_on_copies_and_complement(data):
 
 
 def test_regular_subgroup_intransitive_input():
-    G = PermGroup(4, [(1, 0, 2, 3)])  # fixes 2,3: intransitive
-    res = regular_subgroup_search(G)
+    g = Graph.from_edges(4, [(0, 1)])  # one edge and two isolated vertices: intransitive
+    res = regular_subgroup_search(g, automorphism_group(g))
     assert res.group is None and res.exhausted
 
 
 def test_petersen_definitively_non_cayley():
-    aut = automorphism_group(petersen()).group
+    g = petersen()
+    aut = automorphism_group(g)
     assert aut.order == 120
-    res = regular_subgroup_search(aut)
+    res = regular_subgroup_search(g, aut)
     assert res.group is None and res.exhausted
     cert = cayley_status(petersen())
     assert cert.verdict == "non_cayley" and cert.exhausted_search
+    assert cert.to_json_dict()["exhausted_search"] is True
+
+
+def test_cayley_status_reports_a_regular_search_out_of_budget():
+    """A regular budget below Petersen's full walk ends in unknown, and the
+    nodes count the regular search's work on top of the IR search's."""
+    g = petersen()
+    cert = cayley_status(g, regular_budget=10)
+    assert cert.verdict == "unknown" and not cert.exhausted_search
+    assert cert.budget_report == {"stage": "regular subgroup search", "budget": 10}
+    assert cert.nodes > automorphism_group(g).nodes
+
+
+def test_cayley_status_of_the_empty_graph():
+    """No group acts regularly on no vertices: the graph with none is not
+    Cayley, and the search says so without a node."""
+    cert = cayley_status(Graph(0))
+    assert cert.verdict == "non_cayley" and cert.exhausted_search and cert.nodes == 0
 
 
 def test_cayley_status_on_cayley_graph():
@@ -814,7 +822,7 @@ def test_generic_status_searches_the_twin_quotient_once(monkeypatch):
     cert = cayley_status(g)
     assert runs == [5, 5] and cert.verdict == "cayley"
     _, quotient, quotient_aut = aut.twin_quotient
-    regular = regular_subgroup_search(quotient_aut.group, vertex_order=_bfs_vertex_order(quotient))
+    regular = regular_subgroup_search(quotient, quotient_aut)
     assert cert.nodes == aut.nodes + regular.nodes
 
 
@@ -867,9 +875,9 @@ def test_generic_status_pins_the_exits_of_the_reduction(monkeypatch):
     degrees = []
     search = automorphisms.regular_subgroup_search
 
-    def recording(aut, *args, **kwargs):
-        degrees.append(aut.degree)
-        return search(aut, *args, **kwargs)
+    def recording(graph, *args, **kwargs):
+        degrees.append(graph.n)
+        return search(graph, *args, **kwargs)
 
     monkeypatch.setattr(automorphisms, "regular_subgroup_search", recording)
     p = petersen()

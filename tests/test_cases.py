@@ -332,6 +332,11 @@ def test_family_member_predicate_matches_oracle():
         assert (member is not None) == is_inner_abelian(H), H.tag
 
 
+def test_family_member_tries_every_prime_up_to_the_order():
+    """D34 is MillerMoreno(17,1,2,1); a hand-picked prime list missed it."""
+    assert inner_abelian_family_member(dihedral_group(17)) == "MillerMoreno(17,1,2,1)"
+
+
 def test_bc_closed_under_subgroups_consistency():
     """Groups whose Haar graphs are all Cayley have the same property on
     their subgroups; spot-check the subgroup side directly."""
@@ -396,7 +401,9 @@ def test_cli_reproduce_without_arguments_lists_cases(capsys):
     (["status", "Q8", "--set", "1,i"], "abc"),
     (["status", "Q8", "--set", "1,i"], "0"),
     (["status", "Q8", "--set", "1,i"], "-5"),
-], ids=["bad-name", "bad-json", "bad-word", "bad-budget-env", "zero-budget", "negative-budget"])
+    (["scan-inner-abelian", "--max-order", "101"], None),
+], ids=["bad-name", "bad-json", "bad-word", "bad-budget-env", "zero-budget", "negative-budget",
+        "scan-above-cap"])
 def test_cli_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
     from haarcay.cli import main
     if env is not None:

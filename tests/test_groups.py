@@ -100,6 +100,18 @@ def test_validate_rejects_a_non_associative_loop():
         GroupTable(loop)
 
 
+def test_validate_rejects_a_non_associative_table_above_order_100():
+    """Z_1024 with the intercalate at rows 1, 513 and columns 3, 515
+    swapped is still a Latin square with identity 0, but
+    (1*1)*3 = 5 while 1*(1*3) = 517."""
+    n = 1024
+    mult = [[(x + y) % n for y in range(n)] for x in range(n)]
+    for x in (1, 513):
+        mult[x][3], mult[x][515] = mult[x][515], mult[x][3]
+    with pytest.raises(GroupConstructionError, match="associativity fails at"):
+        GroupTable(mult)
+
+
 def _random_loop_table(n: int, rng: random.Random) -> list[list[int]]:
     """A random Latin square on 0..n-1 whose row and column 0 are the
     identity, filled cell by cell in random symbol order with backtracking."""
