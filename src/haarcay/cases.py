@@ -9,9 +9,10 @@ graph.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .automorphisms import (
     IR_BUDGET,
@@ -24,6 +25,7 @@ from .automorphisms import (
 from .bicayley import BiCayleyHints, right_translation_group_perms
 from .graphs import Graph, complete_bipartite, empty_graph, haar_graph, lex_product
 from .groups import (
+    AutImages,
     GroupConstructionError,
     GroupTable,
     _is_prime,
@@ -35,10 +37,8 @@ from .groups import (
     group_automorphisms,
     group_from_spec,
     group_isomorphism,
-    inverse_mask,
     is_inner_abelian,
     left_translate_mask,
-    mask_image,
     mask_of,
     miller_moreno_group,
     mp1_group,
@@ -288,31 +288,78 @@ def _check_enumeration_order(H: GroupTable) -> None:
         raise ValueError(f"exhaustive enumeration capped at order {_MAX_ENUMERATION_ORDER}")
 
 
+def _automorphism_generators(H: GroupTable) -> list[AutImages]:
+    """A generating set of Aut(H): each automorphism, in sorted order, that
+    lies outside the group generated by the ones picked before it.  That
+    group grows by Dimino's algorithm: a new generator adds whole right
+    cosets of the previous group, reached by multiplying coset
+    representatives by the generators, so the closure costs about one
+    product per element and generator."""
+    auts = group_automorphisms(H)
+    members = {tuple(range(H.order))}
+    gens: list[AutImages] = []
+    for a in auts:
+        if len(members) == len(auts):
+            break
+        if a in members:
+            continue
+        gens.append(a)
+        previous = list(members)
+        reps = [a]
+        for r in reps:  # grows while it is walked
+            if r not in members:
+                members.update(tuple(map(x.__getitem__, r)) for x in previous)
+                reps.extend(tuple(map(r.__getitem__, s)) for s in gens)
+    return gens
+
+
+def _byte_tables(items: Sequence, join: Callable, empty) -> tuple[list, list]:
+    """Tables for the low and the high byte of a mask of at most 16 bits:
+    entry b of a table joins the items at the positions of the set bits of
+    b, so two lookups stand for a loop over the bits of the mask."""
+    tables = []
+    for start in (0, 8):
+        table = [empty]
+        for item in items[start:start + 8]:
+            table += [join(t, item) for t in table]
+        tables.append(table)
+    return tables[0], tables[1]
+
+
+def _mask_map(images: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Byte tables of an element map: it sends a mask m to
+    low[m & 255] | high[m >> 8]."""
+    return _byte_tables([1 << x for x in images], operator.or_, 0)
+
+
 def anchored_class_representatives(H: GroupTable) -> list[int]:
     """One representative per equivalence class of anchored spoke sets
     (identity in S) under group automorphisms, inversion, and re-anchored
-    left translates.  Exact orbit computation on the subset lattice."""
+    left translates.  Each class is walked once, as the closure of its
+    least member under generators of Aut(H), inversion and the translates
+    s^-1 S for s in S, every map applied through byte tables; the least
+    member of a class is the first mask of it the walk reaches."""
     _check_enumeration_order(H)
-    auts = group_automorphisms(H)
-    seen: set[int] = set()
+    n = H.order
+    maps = tuple(_mask_map(a) for a in _automorphism_generators(H)) + (_mask_map(H.inv),)
+    # the maps h -> s^-1 h for the elements s of each byte of a mask
+    low_translates, high_translates = _byte_tables(
+        [(_mask_map(H.mult[H.inv[s]]),) for s in range(n)], operator.add, ())
+    seen = bytearray(1 << n)
     reps: list[int] = []
-    for S in range(1, 1 << H.order, 2):
-        if S in seen:
+    for S in range(1, 1 << n, 2):
+        if seen[S]:
             continue
-        orbit = {S}
-        queue = [S]
-        while queue:
-            cur = queue.pop()
-            images = [mask_image(cur, a) for a in auts]
-            images.append(inverse_mask(H, cur))
-            images.extend(left_translate_mask(H, H.inv[s], cur)
-                          for s in elements_of(cur))
-            for img in images:
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
-        seen |= orbit
-        reps.append(min(orbit))
+        seen[S] = 1
+        reps.append(S)
+        orbit = [S]
+        for cur in orbit:  # grows while it is walked
+            low, high = cur & 255, cur >> 8
+            for lo, hi in maps + low_translates[low] + high_translates[high]:
+                img = lo[low] | hi[high]
+                if not seen[img]:
+                    seen[img] = 1
+                    orbit.append(img)
     return reps
 
 

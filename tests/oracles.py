@@ -10,7 +10,15 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from haarcay.groups import GroupTable, elements_of, mask_of
+from haarcay.groups import (
+    GroupTable,
+    elements_of,
+    group_automorphisms,
+    inverse_mask,
+    left_translate_mask,
+    mask_image,
+    mask_of,
+)
 
 
 def all_subgroups(H: GroupTable) -> list[int]:
@@ -126,6 +134,42 @@ def brute_force_part_maps(H: GroupTable, S: int, auts) -> tuple[list, list]:
                 if preserves(images):
                     swap.append((a, x, y, images))
     return fix, swap
+
+
+def reference_class(H: GroupTable, S: int) -> set[int]:
+    """The equivalence class of the anchored spoke set S: its closure under
+    every automorphism of H, inversion, and the re-anchored left translates
+    s^-1 S for s in S, each applied to every set one set bit at a time."""
+    auts = group_automorphisms(H)
+    orbit = {S}
+    queue = [S]
+    while queue:
+        cur = queue.pop()
+        images = [mask_image(cur, a) for a in auts]
+        images.append(inverse_mask(H, cur))
+        images.extend(left_translate_mask(H, H.inv[s], cur)
+                      for s in elements_of(cur))
+        for img in images:
+            if img not in orbit:
+                orbit.add(img)
+                queue.append(img)
+    return orbit
+
+
+def reference_class_representatives(H: GroupTable) -> list[int]:
+    """The least member of every class of anchored spoke sets, in
+    increasing order, by closing each unseen set under all of Aut(H); the
+    generator walk of ``anchored_class_representatives`` must return the
+    same list."""
+    seen: set[int] = set()
+    reps: list[int] = []
+    for S in range(1, 1 << H.order, 2):
+        if S in seen:
+            continue
+        orbit = reference_class(H, S)
+        seen |= orbit
+        reps.append(min(orbit))
+    return reps
 
 
 # -- reference Schreier-Sims ---------------------------------------------------

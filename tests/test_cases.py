@@ -27,6 +27,8 @@ from haarcay.groups import (
     cyclic_group,
     dihedral_group,
     elements_of,
+    group_automorphisms,
+    group_from_spec,
     is_inner_abelian,
     mask_of,
     miller_moreno_group,
@@ -35,7 +37,7 @@ from haarcay.groups import (
     subgroup_generated,
 )
 
-from oracles import all_subgroups
+from oracles import all_subgroups, reference_class, reference_class_representatives
 
 
 def subgroup_table(H: GroupTable, mask: int) -> GroupTable:
@@ -199,20 +201,7 @@ def test_dedupe_soundness_random_class_members():
             continue
         graph, _ = haar_graph(H, S)
         cert = cayley_status(graph, hints=BiCayleyHints(H, S))
-        # find its class representative by re-running the orbit closure
-        from haarcay.groups import group_automorphisms, inverse_mask, left_translate_mask, mask_image
-        orbit = {S}
-        queue = [S]
-        while queue:
-            cur = queue.pop()
-            imgs = [mask_image(cur, a) for a in group_automorphisms(H)]
-            imgs.append(inverse_mask(H, cur))
-            imgs.extend(left_translate_mask(H, H.inv[s], cur) for s in elements_of(cur))
-            for img in imgs:
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
-        rep = min(orbit)
+        rep = min(reference_class(H, S))
         assert rep in reps
         assert cert.verdict == reps[rep], (S, rep)
         checked += 1
@@ -224,6 +213,99 @@ def test_class_representatives_partition_anchored_sets():
     assert all(S & 1 for S in reps)
     assert len(set(reps)) == len(reps)
     assert sum(1 for _ in reps) <= 2 ** 5
+
+
+def _cyclic_spec(n: int) -> dict:
+    return {"family": "Cyclic", "n": n}
+
+
+# groups of order 16 with large automorphism groups (|Aut(Z2^4)| = 20,160),
+# and their numbers of anchored spoke-set classes
+BIG_AUT_GROUPS = [
+    ({"family": "DirectProduct", "factors": [_cyclic_spec(2), _cyclic_spec(2), _cyclic_spec(4)]},
+     177),
+    ({"family": "DirectProduct", "factors": [{"family": "Quaternion"}, _cyclic_spec(2)]}, 162),
+    ({"family": "DirectProduct", "factors": [_cyclic_spec(2)] * 4}, 31),
+]
+
+
+def _relabelled(H: GroupTable, rng: random.Random) -> GroupTable:
+    """An isomorphic table with the identity kept at 0 and the other
+    elements renamed at random."""
+    n = H.order
+    new = [0] + rng.sample(range(1, n), n - 1)
+    mult = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            mult[new[x]][new[y]] = new[H.mult[x][y]]
+    return GroupTable(mult)
+
+
+def test_class_representatives_of_the_trivial_aut_groups():
+    # Aut(Z1) and Aut(Z2) are trivial, so the walk has no automorphism to apply
+    assert anchored_class_representatives(cyclic_group(1)) == [1]
+    assert anchored_class_representatives(cyclic_group(2)) == [1, 3]
+
+
+def test_class_representatives_match_the_reference_walk():
+    """The generator walk returns exactly the list of the walk that applies
+    every automorphism, on the catalog groups up to order 12 and on three
+    relabellings of each one of order 8 to 12."""
+    rng = random.Random(20)
+    for H in constructor_catalog(12):
+        assert anchored_class_representatives(H) == reference_class_representatives(H), H.tag
+        if H.order >= 8:
+            for _ in range(3):
+                K = _relabelled(H, rng)
+                assert anchored_class_representatives(K) == reference_class_representatives(K), \
+                    H.tag
+
+
+def _burnside_class_count(H: GroupTable) -> int:
+    """The number of anchored spoke-set classes by Burnside's lemma.  The
+    maps x -> g*a(x^e), for g in H, a in Aut(H) and e = +-1, form a group G;
+    the anchored members of each G-orbit of nonempty subsets of H are one
+    class, so the count is (1/|G|) * sum over G of 2^(cycles) - 1.  The maps
+    are distinct for distinct g and x -> a(x^e), since g is the image of the
+    identity."""
+    n = H.order
+    linear = set(group_automorphisms(H))
+    linear |= {tuple(a[H.inv[x]] for x in range(n)) for a in linear}
+    total = 0
+    for b in linear:
+        for row in H.mult:
+            p = tuple(map(row.__getitem__, b))  # x -> g * b(x), g the row's element
+            unseen = set(range(n))
+            cycles = 0
+            while unseen:
+                x = unseen.pop()
+                cycles += 1
+                y = p[x]
+                while y != x:
+                    unseen.remove(y)
+                    y = p[y]
+            total += 1 << cycles
+    size = n * len(linear)
+    assert total % size == 0
+    return total // size - 1
+
+
+def test_class_count_agrees_with_burnside():
+    for H in constructor_catalog(16):
+        assert len(anchored_class_representatives(H)) == _burnside_class_count(H), H.tag
+    for spec, count in BIG_AUT_GROUPS:
+        H = group_from_spec(spec)
+        assert len(anchored_class_representatives(H)) == _burnside_class_count(H) == count
+
+
+def test_cli_enumerate_dedupe_over_z2_to_the_4(capsys):
+    """Z2^4 has 20,160 automorphisms; applying each to every anchored set
+    took 17 minutes.  Its 31 classes are all Cayley (the group is abelian)."""
+    from haarcay.cli import main
+    spec = json.dumps(BIG_AUT_GROUPS[2][0])
+    assert main(["enumerate", spec, "--dedupe"]) == 0
+    rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 31 and all(row["verdict"] == "cayley" for row in rows)
 
 
 def test_verify_certificate_rejects_tampering():
