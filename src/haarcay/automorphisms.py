@@ -64,7 +64,7 @@ from .bicayley import (
     right_translation_group_perms,
 )
 from .graphs import Graph, components, haar_graph
-from .groups import elements_of, mask_of
+from .groups import _dimino_closure, elements_of, mask_of
 from .perms import (BudgetExceeded, Perm, PermGroup, _OrbitCache, _schreier_tree, identity_perm,
                     is_identity, pinv, pmul)
 
@@ -537,16 +537,16 @@ def regular_subgroup_search(graph: Graph, aut: AutResult,
 
     Transversal-based backtracking: walk the vertices breadth-first from 0,
     and for the first vertex v outside the current orbit of 0, try every
-    automorphism mapping 0 -> v, closing the partial subgroup under products.
-    Every element of a regular group is semiregular (all its cycles have one
-    length), so a candidate that is not is rejected before closure, and a
-    closure fails as soon as it meets such an element or outgrows the degree.
-    A closure that succeeds is a semiregular group, so its orbit of 0 has as
-    many vertices as it has elements: n of them make it regular, fewer leave
-    a vertex outside.  Each rejected candidate counts as one node, as each
-    closure element does, so the budget bounds the whole walk.  Exhausting
-    the search space is a definitive "no regular subgroup"; running out of
-    budget is not.
+    automorphism mapping 0 -> v as a new generator of the partial subgroup,
+    grown by Dimino's closure.  Every element of a regular group is
+    semiregular (all its cycles have one length), so a candidate that is not
+    is rejected before closure, and a closure fails as soon as it meets such
+    an element or would outgrow the degree.  A closure that succeeds is a
+    semiregular group, so its orbit of 0 has as many vertices as it has
+    elements: n of them make it regular, fewer leave a vertex outside.  Each
+    rejected candidate counts as one node, as each element a closure admits
+    does, so the budget bounds the whole walk.  Exhausting the search space
+    is a definitive "no regular subgroup"; running out of budget is not.
     """
     n = graph.n
     if n == 0 or len(aut.orbits) > 1:
@@ -558,7 +558,6 @@ def regular_subgroup_search(graph: Graph, aut: AutResult,
     transversal = _transversal_of_0(group.generators, n)
     stab0 = group.stabilizer(0)
     nodes = 0
-    ident = identity_perm(n)
 
     def count_node() -> None:
         nonlocal nodes
@@ -566,25 +565,13 @@ def regular_subgroup_search(graph: Graph, aut: AutResult,
         if nodes > budget:
             raise BudgetExceeded("regular subgroup search", budget)
 
-    def closed_with(elems: frozenset, g: Perm) -> Optional[frozenset]:
-        result = set(elems)
-        frontier = [g]
-        while frontier:
-            p = frontier.pop()
-            if p in result:
-                continue
-            if not _is_semiregular(p):
-                return None
-            result.add(p)
-            if len(result) > n:
-                return None
-            count_node()
-            for q in list(result):
-                frontier.append(pmul(p, q))
-                frontier.append(pmul(q, p))
-        return frozenset(result)
+    def rejected(p: Perm) -> bool:
+        if not _is_semiregular(p):
+            return True
+        count_node()
+        return False
 
-    def extend(elems: frozenset, gens: tuple[Perm, ...]) -> Optional[tuple[Perm, ...]]:
+    def extend(elems: list[Perm], gens: tuple[Perm, ...]) -> Optional[tuple[Perm, ...]]:
         if len(elems) == n:
             return gens
         orbit = {p[0] for p in elems}
@@ -594,7 +581,7 @@ def regular_subgroup_search(graph: Graph, aut: AutResult,
             if not _is_semiregular(cand):
                 count_node()
                 continue
-            grown = closed_with(elems, cand)
+            grown = _dimino_closure(elems, gens, cand, pmul, rejected, n)
             if grown is not None:
                 hit = extend(grown, gens + (cand,))
                 if hit is not None:
@@ -602,7 +589,7 @@ def regular_subgroup_search(graph: Graph, aut: AutResult,
         return None
 
     try:
-        found = extend(frozenset([ident]), ())
+        found = extend([identity_perm(n)], ())
     except BudgetExceeded:
         return RegularSearchOutcome(None, False, nodes)
     if found is None:

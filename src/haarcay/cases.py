@@ -28,6 +28,7 @@ from .groups import (
     AutImages,
     GroupConstructionError,
     GroupTable,
+    _dimino_closure,
     _is_prime,
     connection_set,
     cyclic_group,
@@ -48,7 +49,7 @@ from .groups import (
     right_translate_mask,
     subgroup_generated,
 )
-from .perms import PermGroup
+from .perms import PermGroup, pmul
 
 A4_SPEC = {
     "family": "Presented",
@@ -291,25 +292,19 @@ def _check_enumeration_order(H: GroupTable) -> None:
 def _automorphism_generators(H: GroupTable) -> list[AutImages]:
     """A generating set of Aut(H): each automorphism, in sorted order, that
     lies outside the group generated by the ones picked before it.  That
-    group grows by Dimino's algorithm: a new generator adds whole right
-    cosets of the previous group, reached by multiplying coset
-    representatives by the generators, so the closure costs about one
-    product per element and generator."""
+    group grows by Dimino's closure, at about one composition per element
+    and generator."""
     auts = group_automorphisms(H)
-    members = {tuple(range(H.order))}
+    members = [tuple(range(H.order))]
+    known = set(members)
     gens: list[AutImages] = []
     for a in auts:
         if len(members) == len(auts):
             break
-        if a in members:
-            continue
-        gens.append(a)
-        previous = list(members)
-        reps = [a]
-        for r in reps:  # grows while it is walked
-            if r not in members:
-                members.update(tuple(map(x.__getitem__, r)) for x in previous)
-                reps.extend(tuple(map(r.__getitem__, s)) for s in gens)
+        if a not in known:
+            members = _dimino_closure(members, gens, a, pmul)
+            known = set(members)
+            gens.append(a)
     return gens
 
 
@@ -567,9 +562,9 @@ def inner_abelian_family_member(H: GroupTable) -> Optional[str]:
 
 def inner_abelian_scan(max_order: int) -> list[dict]:
     """Inner-abelian groups in the constructor catalog up to ``max_order``
-    (at most ``_SCAN_ORDER_CAP``), each cross-checked against the families."""
-    if max_order > _SCAN_ORDER_CAP:
-        raise ValueError(f"max order {max_order} is above the scan's cap of {_SCAN_ORDER_CAP}")
+    (from 1 to ``_SCAN_ORDER_CAP``), each cross-checked against the families."""
+    if not 1 <= max_order <= _SCAN_ORDER_CAP:
+        raise ValueError(f"max order {max_order} is outside the scan's range 1..{_SCAN_ORDER_CAP}")
     out = []
     seen_tags = set()
     for H in constructor_catalog(max_order):

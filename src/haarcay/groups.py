@@ -185,30 +185,45 @@ def right_translate_mask(H: GroupTable, mask: int, g: int) -> int:
     return inverse_mask(H, left_translate_mask(H, H.inv[g], inverse_mask(H, mask)))
 
 
+def _dimino_closure(elements: list, gens: Sequence, g, mul: Callable,
+                    reject: Optional[Callable] = None, cap: Optional[int] = None) -> Optional[list]:
+    """The elements of <G, g>, where G is the group with ``elements``
+    (identity first) and generators ``gens``, or None as soon as ``reject``
+    holds for an element about to be added or the size would pass ``cap``.
+    Dimino's algorithm: whole cosets G·r are added, and the representatives
+    r·s are reached for every generator s, in ``mul``'s own convention, at
+    about one product per element and generator (Butler, *Fundamental
+    Algorithms for Permutation Groups*, 1991, ch. 4)."""
+    grown = list(elements)
+    members = set(elements)
+    gens = (*gens, g)
+    reps = [g]
+    for r in reps:  # grows while it is walked
+        if r in members:
+            continue
+        if cap is not None and len(grown) + len(elements) > cap:
+            return None
+        for x in elements:
+            y = mul(x, r)
+            if reject is not None and reject(y):
+                return None
+            grown.append(y)
+            members.add(y)
+        reps.extend(mul(r, s) for s in gens)
+    return grown
+
+
 def subgroup_generated(H: GroupTable, mask: int) -> int:
-    """Closure of the subset (plus identity) under products and inverses."""
-    closed = 1  # identity
-    new = [e for e in elements_of(mask) if not (closed >> e) & 1]
-    for e in new:
-        closed |= 1 << e
-    frontier = elements_of(closed)
-    while new:
-        nxt = []
-        for a in new:
-            for b in frontier:
-                for c in (H.mult[a][b], H.mult[b][a]):
-                    if not (closed >> c) & 1:
-                        closed |= 1 << c
-                        nxt.append(c)
-            i = H.inv[a]
-            if not (closed >> i) & 1:
-                closed |= 1 << i
-                nxt.append(i)
-        frontier.extend(nxt)
-        new = nxt
-    if H.order % closed.bit_count():
+    """The subgroup generated by the subset (plus identity), grown one
+    generator at a time by Dimino's closure."""
+    elements, gens = [0], []
+    for g in elements_of(mask):
+        if g not in elements:
+            elements = _dimino_closure(elements, gens, g, H.mul)
+            gens.append(g)
+    if H.order % len(elements):
         raise RuntimeError("subgroup size must divide the group order")
-    return closed
+    return mask_of(elements)
 
 
 def is_subgroup(H: GroupTable, mask: int) -> bool:

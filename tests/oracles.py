@@ -346,3 +346,52 @@ def reference_refine(rows, cells, splitters):
                     queue.append(mask_of(part))
         cells = out
     return cells
+
+
+# -- reference pairwise closures -------------------------------------------------
+# The two closures the package ran before Dimino's algorithm: each new
+# element is multiplied by every element reached so far, on both sides.
+
+def reference_subgroup_generated(H: GroupTable, mask: int) -> int:
+    """Closure of the subset (plus identity) under products and inverses."""
+    closed = 1  # identity
+    new = [e for e in elements_of(mask) if not (closed >> e) & 1]
+    for e in new:
+        closed |= 1 << e
+    frontier = elements_of(closed)
+    while new:
+        nxt = []
+        for a in new:
+            for b in frontier:
+                for c in (H.mult[a][b], H.mult[b][a]):
+                    if not (closed >> c) & 1:
+                        closed |= 1 << c
+                        nxt.append(c)
+            i = H.inv[a]
+            if not (closed >> i) & 1:
+                closed |= 1 << i
+                nxt.append(i)
+        frontier.extend(nxt)
+        new = nxt
+    return closed
+
+
+def reference_closed_with(elems, g, reject, cap):
+    """The regular search's closure of a group's elements with one more
+    permutation: None once ``reject`` holds for an element or the size
+    passes ``cap``."""
+    result = set(elems)
+    frontier = [g]
+    while frontier:
+        p = frontier.pop()
+        if p in result:
+            continue
+        if reject(p):
+            return None
+        result.add(p)
+        if len(result) > cap:
+            return None
+        for q in list(result):
+            frontier.append(_ref_pmul(p, q))
+            frontier.append(_ref_pmul(q, p))
+    return frozenset(result)

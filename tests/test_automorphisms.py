@@ -8,6 +8,7 @@ from haarcay.automorphisms import (
     Certificate,
     _AutSearch,
     _Partition,
+    _is_semiregular,
     _refine,
     _twin_classes,
     are_isomorphic,
@@ -32,6 +33,7 @@ from haarcay.graphs import (
     right_translation_vertex_perm,
 )
 from haarcay.groups import (
+    _dimino_closure,
     connection_set,
     cyclic_group,
     dihedral_group,
@@ -42,10 +44,16 @@ from haarcay.groups import (
     mp1_group,
     mp_group,
     quaternion_group,
+    subgroup_generated,
 )
-from haarcay.perms import BudgetExceeded, PermGroup, pmul
+from haarcay.perms import BudgetExceeded, PermGroup, identity_perm, pmul
 
-from oracles import brute_force_graph_automorphisms, reference_refine
+from oracles import (
+    brute_force_graph_automorphisms,
+    reference_closed_with,
+    reference_refine,
+    reference_subgroup_generated,
+)
 
 
 def petersen():
@@ -432,9 +440,67 @@ def test_regular_search_budget_counts_rejected_candidates():
     aut = automorphism_group(g)
     assert sum(PermGroup(10, [p]).is_semiregular() for p in aut.group.elements()) == 25
     full = regular_subgroup_search(g, aut)
-    assert full.group is None and full.exhausted and full.nodes > 80
-    cut = regular_subgroup_search(g, aut, budget=80)
-    assert cut.group is None and not cut.exhausted and cut.nodes == 81
+    assert full.group is None and full.exhausted
+    cut = regular_subgroup_search(g, aut, budget=full.nodes - 1)
+    assert cut.group is None and not cut.exhausted and cut.nodes == full.nodes
+
+
+SMALL_VERTEX_TRANSITIVE = [
+    petersen(), cycle_graph(8), complete_bipartite(3, 3), disjoint_union([cycle_graph(4)] * 2),
+    haar_graph(dihedral_group(3), connection_set(dihedral_group(3), "1,a,b"))[0],
+    haar_graph(quaternion_group(), connection_set(quaternion_group(), "1,i,j"))[0],
+]
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_dimino_closure_agrees_with_the_pairwise_reference(data):
+    """subgroup_generated returns the pairwise closure's mask.  Closing a
+    group of automorphisms with one more, under the regular search's
+    semiregular reject and cap n, fails exactly when the pairwise closure
+    fails, and otherwise reaches the same elements."""
+    H = data.draw(st.sampled_from(constructor_catalog(16)), label="H")
+    mask = data.draw(st.integers(0, (1 << H.order) - 1), label="mask")
+    assert subgroup_generated(H, mask) == reference_subgroup_generated(H, mask)
+    g = data.draw(st.sampled_from(SMALL_VERTEX_TRANSITIVE), label="graph")
+    pool = list(automorphism_group(g).group.elements())
+    if data.draw(st.booleans(), label="semiregular only"):
+        pool = [p for p in pool if _is_semiregular(p)]
+    drawn = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3), label="drawn")
+    rejected = lambda p: not _is_semiregular(p)
+    elements, gens = [identity_perm(g.n)], []
+    for p in drawn:
+        if p in elements:
+            continue
+        grown = _dimino_closure(elements, gens, p, pmul, rejected, g.n)
+        reference = reference_closed_with(elements, p, rejected, g.n)
+        assert (grown is None) == (reference is None)
+        if grown is None:
+            break
+        assert len(grown) == len(reference) and set(grown) == reference
+        elements, gens = grown, gens + [p]
+
+
+def test_generic_status_keeps_the_decided_k88_minus_matching_relabellings():
+    """Generic status on the 16 relabellings of K8,8 minus a perfect
+    matching, at budgets 5000/1000, where the regular search is budget-bound:
+    the 11 that the pairwise closure decided stay cayley, with certificates
+    that verify, and none of the 16 is called non-Cayley."""
+    g = complete_bipartite(8, 8)
+    for i in range(8):
+        g.rows[i] &= ~(1 << (8 + i))
+        g.rows[8 + i] &= ~(1 << i)
+    for s in range(16):
+        perm = list(range(16))
+        random.Random(s).shuffle(perm)
+        h = g.relabel(perm)
+        cert = cayley_status(h, ir_budget=5000, regular_budget=1000)
+        if s in (2, 10, 11, 12, 14):
+            assert cert.verdict in ("cayley", "unknown"), s
+        else:
+            assert cert.verdict == "cayley", s
+        if cert.verdict == "cayley":
+            assert verify_certificate(h, cert), s
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

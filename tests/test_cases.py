@@ -408,6 +408,18 @@ def test_catalog_and_scan_are_pinned():
         "757e60e8b368a604f8035c44a9b0b582df5b98c97e4a01184aedae842292f883"
 
 
+def test_inner_abelian_scan_at_its_cap():
+    """Orders 31 to 100 of the classification: every inner-abelian group the
+    catalog builds matches a family, the dihedral groups of odd prime degree
+    among them, and the scan's rows up to order 30 are unchanged."""
+    rows = inner_abelian_scan(100)
+    assert len(rows) == 57 and sum(r["order"] > 30 for r in rows) == 33
+    assert all(r["family"] for r in rows)
+    tags = {r["tag"] for r in rows}
+    assert all(f"Dihedral({p})" in tags for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+    assert [r for r in rows if r["order"] <= 30] == inner_abelian_scan(30)
+
+
 def test_family_member_predicate_matches_oracle():
     for H in constructor_catalog(16):
         member = inner_abelian_family_member(H)
@@ -484,8 +496,10 @@ def test_cli_reproduce_without_arguments_lists_cases(capsys):
     (["status", "Q8", "--set", "1,i"], "0"),
     (["status", "Q8", "--set", "1,i"], "-5"),
     (["scan-inner-abelian", "--max-order", "101"], None),
+    (["scan-inner-abelian", "--max-order", "0"], None),
+    (["scan-inner-abelian", "--max-order", "-5"], None),
 ], ids=["bad-name", "bad-json", "bad-word", "bad-budget-env", "zero-budget", "negative-budget",
-        "scan-above-cap"])
+        "scan-above-cap", "scan-zero", "scan-negative"])
 def test_cli_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
     from haarcay.cli import main
     if env is not None:
