@@ -64,7 +64,7 @@ from .bicayley import (
     right_translation_group_perms,
 )
 from .graphs import Graph, components, haar_graph
-from .groups import _dimino_closure, elements_of, mask_of
+from .groups import _dimino_closure, _generated, elements_of, mask_of
 from .perms import (BudgetExceeded, Perm, PermGroup, _OrbitCache, _schreier_tree, identity_perm,
                     is_identity, pinv, pmul)
 
@@ -523,6 +523,14 @@ def _is_semiregular(p: Perm) -> bool:
     return True
 
 
+def _generates_regular(gens: Sequence[Perm], n: int) -> bool:
+    """Whether the permutations of degree n generate a group acting
+    regularly: its closure, stopped once it would pass n elements, has n
+    of them, and they send vertex 0 to n different points."""
+    closed = _generated(gens, identity_perm(n), pmul, cap=n)
+    return closed is not None and len(closed[0]) == n == len({p[0] for p in closed[0]})
+
+
 def _transversal_of_0(gens: Sequence[Perm], n: int) -> dict[int, Perm]:
     """Vertex v -> an element of <gens> carrying 0 to v: the breadth-first
     Schreier tree of vertex 0, which is the base-point-0 transversal of any
@@ -547,6 +555,8 @@ def regular_subgroup_search(graph: Graph, aut: AutResult,
     rejected candidate counts as one node, as each element a closure admits
     does, so the budget bounds the whole walk.  Exhausting the search space
     is a definitive "no regular subgroup"; running out of budget is not.
+    The group found is checked regular by ``_generates_regular`` and built
+    with its order n given, so its ``PermGroup`` sifts nothing.
     """
     n = graph.n
     if n == 0 or len(aut.orbits) > 1:
@@ -594,10 +604,9 @@ def regular_subgroup_search(graph: Graph, aut: AutResult,
         return RegularSearchOutcome(None, False, nodes)
     if found is None:
         return RegularSearchOutcome(None, True, nodes)
-    group = PermGroup(n, found)
-    if not group.is_regular():
+    if not _generates_regular(found, n):
         raise RuntimeError("regular search returned a non-regular group")
-    return RegularSearchOutcome(group, True, nodes)
+    return RegularSearchOutcome(PermGroup(n, found, order=n), True, nodes)
 
 
 @dataclass
@@ -692,7 +701,7 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     Three stages: one automorphism search, whose orbits decide
     vertex-transitivity (intransitive means NonCayley); then, when provenance
     hints are present, the part-swap certificate (the right translations and
-    a part-swapping map whose square is a translation); then the regular
+    a part-swapping map whose square is a translation); else the regular
     stage, one recursion over fibre levels.  A level sees the graph as m
     fibres over a smaller graph Z and comes with Z's automorphism result.  It
     is a copy level when the graph or its complement is disconnected: m
@@ -705,10 +714,14 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     ``regular_subgroup_search`` runs in Aut of the graph.  Copies are Cayley
     exactly when Z is, so a copy level returns Z's answer; twins are Cayley
     when Z is but not only then (Petersen[E2]), so a twin level whose Z
-    yields no regular group searches its own graph.  A lifted group is built
-    once, on the whole graph, and checked.  Unknown only on budget
-    exhaustion.  Hints whose Haar graph is not the graph given raise
-    ``ValueError``.
+    yields no regular group searches its own graph.
+
+    Every source hands the one Cayley exit a plain generator list, and the
+    exit checks it before it writes the certificate: each generator is an
+    automorphism, and ``_generates_regular`` closes them to a regular group.
+    A failed check raises ``RuntimeError``.  Only ``swap_witness`` tells
+    which source found the group.  Unknown only on budget exhaustion.
+    Hints whose Haar graph is not the graph given raise ``ValueError``.
     """
     t0 = time.perf_counter()
     seeds: list[Perm] = []
@@ -718,10 +731,8 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
         seeds = right_translation_group_perms(hints.table)
     nodes = 0
 
-    def regular(z: Graph,
-                z_aut: AutResult) -> tuple[Optional[list[Perm]], Optional[PermGroup], bool]:
-        """Generators of a regular group of z or None, the regular search's
-        group when they are its own (nothing lifted), and whether the
+    def regular(z: Graph, z_aut: AutResult) -> tuple[Optional[list[Perm]], bool]:
+        """Generators of a regular group of z or None, and whether the
         answer is definitive."""
         nonlocal nodes
         if len(z_aut.orbits) > 1:
@@ -730,35 +741,30 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
         nodes += copies[2].nodes if copies else 0
         if (level := copies or z_aut.twin_quotient) is not None:
             fibres, y, y_aut = level
-            gens, _, exhausted = regular(y, y_aut)
+            gens, exhausted = regular(y, y_aut)
             if gens is not None:
-                return _lift_fibres(gens, fibres), None, True
+                return _lift_fibres(gens, fibres), True
             if copies:
-                return None, None, exhausted
+                return None, exhausted
         outcome = regular_subgroup_search(z, z_aut, regular_budget)
         nodes += outcome.nodes
         group = outcome.group
-        return None if group is None else group.generators, group, outcome.exhausted
+        return None if group is None else group.generators, outcome.exhausted
 
     try:
         aut = automorphism_group(graph, seeds, ir_budget)
         nodes = aut.nodes
         if len(aut.orbits) > 1:
             cert = Certificate("non_cayley", orbit_partition=aut.orbits)
-        elif hints is not None and \
-                (swap := cayley_certificate_from_swaps(hints.table, hints.spokes)) is not None:
-            cert = Certificate("cayley", regular_generators=list(swap[0].generators),
-                               swap_witness=swap[1])
         else:
-            gens, group, exhausted = regular(graph, aut)
-            if gens is not None and group is None:
-                group = PermGroup(graph.n, gens)
-                if not group.is_regular():
-                    raise RuntimeError("lifted regular group is not regular")
-            if group is not None:
-                if not all(graph.is_automorphism(p) for p in group.generators):
-                    raise RuntimeError("regular subgroup generator is not an automorphism")
-                cert = Certificate("cayley", regular_generators=list(group.generators))
+            swap = hints and cayley_certificate_from_swaps(hints.table, hints.spokes)
+            gens, exhausted = (swap[0], True) if swap else regular(graph, aut)
+            if gens is not None:
+                if not (all(graph.is_automorphism(p) for p in gens)
+                        and _generates_regular(gens, graph.n)):
+                    raise RuntimeError("Cayley generators are not a regular group of automorphisms")
+                cert = Certificate("cayley", regular_generators=list(gens),
+                                   swap_witness=swap[1] if swap else None)
             elif exhausted:
                 cert = Certificate("non_cayley", exhausted_search=True)
             else:

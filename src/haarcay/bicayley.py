@@ -90,10 +90,9 @@ def fix_vertex_perm(H: GroupTable, aut: Sequence[int], g: int) -> Perm:
 
 def right_translation_group_perms(H: GroupTable) -> list[Perm]:
     """Vertex permutations of right translations by a generating sequence;
-    they generate the full translation group on the bi-Cayley vertex set."""
-    gens = generating_sequence(H)
-    return [right_translation_vertex_perm(H, g) for g in gens] or \
-        [right_translation_vertex_perm(H, 0)]
+    they generate the full translation group on the bi-Cayley vertex set.
+    The trivial group has none: its translation group is the identity."""
+    return [right_translation_vertex_perm(H, g) for g in generating_sequence(H)]
 
 
 def _matching_maps(H: GroupTable, S: int, translates: dict[int, list[tuple]],
@@ -179,18 +178,20 @@ def vt_certificate(H: GroupTable, S: int) -> Optional[PermGroup]:
     return group
 
 
-def cayley_certificate_from_swaps(H: GroupTable, S: int) -> Optional[tuple[PermGroup, dict]]:
-    """A regular subgroup of order 2|H|: the translations extended by a
-    part-swapping map whose square is itself a right translation.  The
-    first such map in the order of ``part_swap_maps`` is reported, and no
-    map after it is built.  Absence of this certificate says nothing about
-    Cayley-ness."""
-    n = H.order
-    trans_gens = right_translation_group_perms(H)
+def cayley_certificate_from_swaps(H: GroupTable, S: int) -> Optional[tuple[list[Perm], dict]]:
+    """Generators of a regular subgroup of order 2|H|, and the witness of
+    the map that completes them: the right translations R and the first
+    part-swapping map m, in the order of ``part_swap_maps``, whose square
+    is itself a right translation.  No map after it is built.
+
+    <R, m> = R ∪ mR is regular without a group being built.  For m built
+    from the automorphism a, m^-1 r_g m = r_(g^a), so m normalizes R; m^2
+    lies in R; so R ∪ mR is a group, of order 2|H| since m swaps the parts.
+    R is transitive on each part and m swaps them, so the group is
+    transitive on 2|H| vertices, hence regular.  Absence of this
+    certificate says nothing about Cayley-ness."""
     for m in _swap_maps(H, S):
         square = pmul(m.perm, m.perm)
         if square == right_translation_vertex_perm(H, square[0]):
-            group = PermGroup(2 * n, trans_gens + [m.perm])
-            if group.order == 2 * n and group.is_regular():
-                return group, m.witness()
+            return right_translation_group_perms(H) + [m.perm], m.witness()
     return None

@@ -28,7 +28,7 @@ from .groups import (
     AutImages,
     GroupConstructionError,
     GroupTable,
-    _dimino_closure,
+    _generated,
     _is_prime,
     connection_set,
     cyclic_group,
@@ -291,21 +291,9 @@ def _check_enumeration_order(H: GroupTable) -> None:
 
 def _automorphism_generators(H: GroupTable) -> list[AutImages]:
     """A generating set of Aut(H): each automorphism, in sorted order, that
-    lies outside the group generated by the ones picked before it.  That
-    group grows by Dimino's closure, at about one composition per element
-    and generator."""
-    auts = group_automorphisms(H)
-    members = [tuple(range(H.order))]
-    known = set(members)
-    gens: list[AutImages] = []
-    for a in auts:
-        if len(members) == len(auts):
-            break
-        if a not in known:
-            members = _dimino_closure(members, gens, a, pmul)
-            known = set(members)
-            gens.append(a)
-    return gens
+    lies outside the group generated by the ones picked before it, as
+    ``_generated`` keeps them."""
+    return _generated(group_automorphisms(H), tuple(range(H.order)), pmul)[1]
 
 
 def _byte_tables(items: Sequence, join: Callable, empty) -> tuple[list, list]:

@@ -30,7 +30,7 @@ from .cases import (
     reproduce,
     reproduce_all,
 )
-from .graphs import haar_graph, read_edge_list, write_edge_list
+from .graphs import haar_graph, is_connected, read_edge_list, write_edge_list
 from .groups import (
     GroupTable,
     connection_set,
@@ -121,7 +121,7 @@ def cmd_status(args) -> int:
     out = cert.to_json_dict()
     out["group"] = H.tag
     out["set"] = sorted(elements_of(S))
-    out["connected"] = subgroup_generated(H, S) == (1 << H.order) - 1
+    out["connected"] = is_connected(graph)
     _emit(out)
     return 0 if cert.verdict in ("cayley", "non_cayley") else 1
 

@@ -213,14 +213,28 @@ def _dimino_closure(elements: list, gens: Sequence, g, mul: Callable,
     return grown
 
 
+def _generated(gens: Iterable, identity, mul: Callable,
+               cap: Optional[int] = None) -> Optional[tuple[list, list]]:
+    """The elements of <gens>, identity first, and the generators that
+    grew it: each one, in the order given, that lies outside the group
+    closed from those before it, which ``_dimino_closure`` then extends by
+    it.  None as soon as the group would pass ``cap`` elements."""
+    elements, used = [identity], []
+    members = {identity}
+    for g in gens:
+        if g not in members:
+            elements = _dimino_closure(elements, used, g, mul, cap=cap)
+            if elements is None:
+                return None
+            members = set(elements)
+            used.append(g)
+    return elements, used
+
+
 def subgroup_generated(H: GroupTable, mask: int) -> int:
-    """The subgroup generated by the subset (plus identity), grown one
-    generator at a time by Dimino's closure."""
-    elements, gens = [0], []
-    for g in elements_of(mask):
-        if g not in elements:
-            elements = _dimino_closure(elements, gens, g, H.mul)
-            gens.append(g)
+    """The subgroup generated by the subset (plus identity), closed by
+    ``_generated``, one Dimino closure per generator it keeps."""
+    elements, _ = _generated(elements_of(mask), 0, H.mul)
     if H.order % len(elements):
         raise RuntimeError("subgroup size must divide the group order")
     return mask_of(elements)

@@ -36,7 +36,6 @@ Composition convention: ``pmul(p, q)`` applies p first, then q
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 Perm = tuple  # length-degree tuple of images
@@ -69,23 +68,6 @@ def pinv(p: Perm) -> Perm:
 
 def is_identity(p: Perm) -> bool:
     return p == tuple(range(len(p)))
-
-
-def perm_order(p: Perm) -> int:
-    n = len(p)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        order = lcm(order, length)
-    return order
 
 
 def _schreier_tree(point: int, pairs: Sequence[tuple[Perm, Perm]],

@@ -1,13 +1,16 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from haarcay.automorphisms import (
     Certificate,
+    RegularSearchOutcome,
     _AutSearch,
     _Partition,
+    _generates_regular,
     _is_semiregular,
     _refine,
     _twin_classes,
@@ -46,7 +49,7 @@ from haarcay.groups import (
     quaternion_group,
     subgroup_generated,
 )
-from haarcay.perms import BudgetExceeded, PermGroup, identity_perm, pmul
+from haarcay.perms import BudgetExceeded, PermGroup, identity_perm, is_identity, pinv, pmul
 
 from oracles import (
     brute_force_graph_automorphisms,
@@ -376,14 +379,8 @@ def test_cayley_status_rejects_hints_of_another_graph():
     assert cert.verdict == "cayley" and verify_certificate(graph, cert)
 
 
-def test_generic_cayley_status_perm_group_builds(monkeypatch):
-    """C24 and its complement are connected, so it builds Aut, the point
-    stabilizer and the regular group found: the regular search reuses Aut's
-    BSGS, whose base already starts at vertex 0.  K4,4 (complement 2K4, one
-    part is E4, which is 4K1) and 4C6 are decided on one copy: the search
-    runs there, each reduction level's copies become fibres through a
-    Schreier tree over its Aut generators, not through a BSGS, and the
-    lifted group is built once on the whole graph."""
+def _count_perm_group_builds(monkeypatch) -> list:
+    """The degree of every ``PermGroup`` built from now on, in order."""
     built = []
     init = PermGroup.__init__
 
@@ -392,14 +389,122 @@ def test_generic_cayley_status_perm_group_builds(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PermGroup, "__init__", counting)
+    return built
+
+
+def test_generic_cayley_status_perm_group_builds(monkeypatch):
+    """C24 and its complement are connected, so it builds Aut, the point
+    stabilizer and the regular group found: the regular search reuses Aut's
+    BSGS, whose base already starts at vertex 0.  K4,4 (complement 2K4, one
+    part is E4, which is 4K1) and 4C6 are decided on one copy: the search
+    runs there, and each reduction level's copies become fibres through a
+    Schreier tree over its Aut generators, not through a BSGS.  The lifted
+    generators are checked at the Cayley exit by their closure, so no group
+    is built on the whole graph."""
+    built = _count_perm_group_builds(monkeypatch)
     expected = [(cycle_graph(24), [24] * 3),
-                (complete_bipartite(4, 4), [1, 8]),
-                (disjoint_union([cycle_graph(6)] * 4), [6, 6, 6, 24])]
+                (complete_bipartite(4, 4), [1]),
+                (disjoint_union([cycle_graph(6)] * 4), [6, 6, 6])]
     for g, sizes in expected:
         built.clear()
         cert = cayley_status(g)
         assert cert.verdict == "cayley" and cert.swap_witness is None
         assert built == sizes
+
+
+def test_hinted_swap_certificate_builds_no_perm_group(monkeypatch):
+    """The part-swap certificate is a generator list, checked at the
+    Cayley exit by its closure: hinted Haar(Q8, {1, i, j}) builds no
+    ``PermGroup`` until the independent checker builds its own."""
+    built = _count_perm_group_builds(monkeypatch)
+    Q8 = quaternion_group()
+    S = connection_set(Q8, "1,i,j")
+    g, _ = haar_graph(Q8, S)
+    cert = cayley_status(g, BiCayleyHints(Q8, S))
+    assert cert.verdict == "cayley" and cert.swap_witness["kind"] == "part_swap"
+    assert built == []
+    assert verify_certificate(g, cert) and built == [16]
+
+
+def test_the_cayley_exit_refuses_a_non_regular_group_from_each_source(monkeypatch):
+    """Every source hands the one Cayley exit a generator list, and the
+    exit's check refuses a bad one: the translations with a part-fixing map
+    of order 2 in place of a swap (a group of order 2n that fixes both
+    parts), a lift without its fibre shift, and a regular search that
+    returns all of Aut(C6), which is transitive but of order 12."""
+    Q8 = quaternion_group()
+    S = connection_set(Q8, "1,i,j")
+    g, _ = haar_graph(Q8, S)
+    fix = [m for m in bicayley.part_fix_maps(Q8, S) if not is_identity(m.perm)]
+    assert len(fix) == 5 and pmul(fix[0].perm, fix[0].perm) == identity_perm(16)
+    planted = (right_translation_group_perms(Q8) + [fix[0].perm], {"kind": "planted"})
+    with monkeypatch.context() as m:
+        m.setattr(automorphisms, "cayley_certificate_from_swaps", lambda H, S: planted)
+        with pytest.raises(RuntimeError, match="not a regular group"):
+            cayley_status(g, BiCayleyHints(Q8, S))
+    with monkeypatch.context() as m:
+        m.setattr(automorphisms, "_lift_fibres", automorphisms._lift_quotient_perms)
+        with pytest.raises(RuntimeError, match="not a regular group"):
+            cayley_status(disjoint_union([cycle_graph(6)] * 4))
+    with monkeypatch.context() as m:
+        m.setattr(automorphisms, "regular_subgroup_search",
+                  lambda z, z_aut, budget: RegularSearchOutcome(z_aut.group, True, 0))
+        with pytest.raises(RuntimeError, match="not a regular group"):
+            cayley_status(cycle_graph(6))
+
+
+@st.composite
+def _generator_lists(draw) -> tuple[int, list]:
+    """A degree and a list of permutations of it: right regular
+    representations of catalog groups on their named generators or on
+    random elements, relabelled at random; the Aut generators of Petersen, C7 and K3,3; the intransitive
+    <(01), (23)>; or two random permutations of 4-9 points.  The identity
+    and a duplicate may be mixed in."""
+    kind = draw(st.sampled_from(["regular", "aut", "intransitive", "random"]))
+    if kind == "regular":
+        H = draw(st.sampled_from(constructor_catalog(16)))
+        n = H.order
+        sigma = tuple(draw(st.permutations(range(n))))
+        picks = draw(st.one_of(st.just([g for _, g in H.gens]),
+                               st.lists(st.integers(0, n - 1), max_size=4)))
+        gens = [pmul(pmul(pinv(sigma), tuple(H.mult[h][g] for h in range(n))), sigma)
+                for g in picks]
+    elif kind == "aut":
+        graph = draw(st.sampled_from([petersen(), cycle_graph(7), complete_bipartite(3, 3)]))
+        n, gens = graph.n, list(automorphism_group(graph).generators)
+    elif kind == "intransitive":
+        n, gens = 4, [(1, 0, 2, 3), (0, 1, 3, 2)]
+    else:
+        n = draw(st.integers(4, 9))
+        gens = [tuple(draw(st.permutations(range(n)))) for _ in range(2)]
+    if gens and draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), draw(st.sampled_from(gens)))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), identity_perm(n))
+    return n, gens
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(drawn=_generator_lists())
+def test_generates_regular_agrees_with_schreier_sims_and_sympy(drawn):
+    """``_generates_regular`` answers as ``PermGroup.is_regular`` and as
+    sympy (transitive and of order n) do, and its closure stops at the cap:
+    it never makes more than n products per generator, plus n."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    n, gens = drawn
+    products = 0
+
+    def counted(p, q):
+        nonlocal products
+        products += 1
+        assert products <= n * (len(gens) + 1), "the closure went past n elements"
+        return pmul(p, q)
+
+    with mock.patch.object(automorphisms, "pmul", counted):
+        got = _generates_regular(gens, n)
+    sym = PermutationGroup([Permutation(list(p)) for p in gens + [identity_perm(n)]])
+    assert got == PermGroup(n, gens).is_regular() == (sym.is_transitive() and sym.order() == n)
 
 
 def _never_called(*args, **kwargs):

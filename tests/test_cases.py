@@ -481,6 +481,35 @@ def test_cli_round_trips(tmp_path, capsys):
     assert main(["scan-inner-abelian", "--max-order", "8"]) == 0
 
 
+@pytest.mark.parametrize("group, words, connected", [
+    ("Cyclic(4)", "a", False), ("Cyclic(1)", "", False), ("Q8", "1,i,j", True)])
+def test_cli_status_connected_is_the_graphs_own(group, words, connected, capsys):
+    """``connected`` reads the Haar graph built, not <S> = H, which only
+    says so when 1 is in S: Haar(Z4, {a}) is 4K2 and Haar(1, {}) is E2."""
+    from haarcay.cli import main
+    assert main(["status", group, "--set", words]) == 0
+    assert json.loads(capsys.readouterr().out)["connected"] is connected
+
+
+def test_cli_trivial_group_outputs(capsys):
+    """The trivial group has no translation generators; the part swap
+    alone is the certificate, and Cyclic(2)'s two classes keep their rows."""
+    from haarcay.cli import main
+    assert main(["status", "Cyclic(1)", "--set", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    del out["millis"]
+    assert out == {"connected": True, "group": "Cyclic(1)", "nodes": 1,
+                   "regular_generators": [[1, 0]], "set": [0], "verdict": "cayley",
+                   "swap_witness": {"aut": [0], "kind": "part_swap", "x": 0, "y": 0}}
+    assert main(["enumerate", "Cyclic(2)"]) == 0
+    rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    for row in rows:
+        del row["millis"]
+    assert rows == [{"nodes": 1, "regular_generators": [[1, 0, 3, 2], [2, 3, 0, 1]], "set": s,
+                     "swap_witness": {"aut": [0, 1], "kind": "part_swap", "x": 0, "y": 0},
+                     "verdict": "cayley"} for s in ([0], [0, 1])]
+
+
 def test_cli_reproduce_without_arguments_lists_cases(capsys):
     from haarcay.cli import main
     assert main(["reproduce"]) == 2
