@@ -44,10 +44,15 @@ merges into one vertex coloured by (colour, class size), until no twins are
 left.  Aut of the graph is the lift of Aut of that coloured quotient times
 the symmetric group of every class (Sabidussi, Duke Math. J. 28, 1961).
 The quotient's base lifts to the first members of its classes, followed by
-all but the last member of every class.  The lifted generators are strong
-for it while every class has at most two members; a class of three or more
-leaves Schreier-Sims some sifting, since once its first member is fixed
-neither its transposition nor its cycle is left to move the others.
+all but the last member of every class.  A strong generating set for it is
+the quotient's, lifted member by member, with the adjacent transpositions
+(m_i m_i+1) of every class, which are strong for Sym(class) on the base
+m_0, ..., m_k-2 (Holt, Eick & O'Brien, Handbook of Computational Group
+Theory, 2005, section 4.1).  A lifted generator that fixes a quotient base
+point fixes its class pointwise, and one that fixes the whole quotient base
+is the identity, so past the quotient's base only the transpositions of the
+classes not yet fixed move anything: every basic orbit is full, and the
+group of a graph searched without seeds needs no sift at any class size.
 """
 
 from __future__ import annotations
@@ -211,9 +216,11 @@ def _refine(rows: Sequence[int], cells: list[list[int]],
 @dataclass
 class AutResult:
     """The automorphism group of a graph as the search found it.  ``base``
-    is the search's first path (lifted through the twin levels); without
-    seeds and twin classes of three or more, ``generators`` are a strong
-    generating set for it.  Vertex 0 comes first only when the graph is
+    is the search's first path (lifted through the twin levels).
+    ``generators`` stay compact, a transposition per twin class and a cycle
+    per class of three or more; without seeds they are a strong generating
+    set for the base once every class's adjacent transpositions join them,
+    as they do in ``group``.  Vertex 0 comes first only when the graph is
     vertex-transitive: the root cell is then the whole vertex set, and the
     search branches on its first vertex."""
     degree: int
@@ -230,17 +237,16 @@ class AutResult:
 
     @property
     def group(self) -> PermGroup:
-        """Base and strong generating set read off the search: ``base`` and
-        ``generators``, handed to ``PermGroup`` with ``order``, which sifts
-        only while the product of the basic orbits is below it.  Without
-        seeds and twin classes of three or more it is not, so nothing is
-        sifted; that covers the twin-free graph on which ``cayley_status``
-        runs its regular search when no hints are given.  Built on first
-        use (orbits, order and canonical data never need it); on a
-        vertex-transitive graph vertex 0 is the first base point, so the
-        regular search uses it as it is."""
+        """Base and strong generating set read off the search: ``base``, and
+        ``generators`` followed by the adjacent transpositions of every twin
+        class (``_class_transpositions``), handed to ``PermGroup`` with
+        ``order``, which sifts only while the product of the basic orbits is
+        below it.  Without seeds it is not, whatever the class sizes, so
+        nothing is sifted.  Built on first use (orbits, order and canonical
+        data never need it); on a vertex-transitive graph vertex 0 is the
+        first base point, so the regular search uses it as it is."""
         if self._group is None:
-            self._group = PermGroup(self.degree, self.generators,
+            self._group = PermGroup(self.degree, self.generators + _class_transpositions(self),
                                     base_prefix=self.base, order=self.order)
         return self._group
 
@@ -415,6 +421,18 @@ def _class_permutations(classes: list[list[int]]) -> list[Perm]:
     return out
 
 
+def _class_transpositions(result: AutResult) -> list[Perm]:
+    """The adjacent transpositions (m_i m_i+1) of every twin class at every
+    level of the result, an inner level's lifted member by member through
+    the levels outside it."""
+    if result.twin_quotient is None:
+        return []
+    classes, _, inner = result.twin_quotient
+    return _lift_quotient_perms(_class_transpositions(inner), classes) + \
+        [_cycles(result.degree, [members[i:i + 2]])
+         for members in classes for i in range(len(members) - 1)]
+
+
 def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
                        budget: int = IR_BUDGET) -> AutResult:
     """Full automorphism group with orbit partition, order and canonical
@@ -498,9 +516,18 @@ def are_isomorphic(g1: Graph, g2: Graph,
 
 @dataclass
 class RegularSearchOutcome:
-    group: Optional[PermGroup]   # a regular subgroup, when one was found
-    exhausted: bool              # True: the search space was fully explored
+    generators: Optional[list[Perm]]   # of a regular subgroup, when one was found
+    exhausted: bool                    # True: the search space was fully explored
     nodes: int
+
+    @property
+    def group(self) -> Optional[PermGroup]:
+        """The regular subgroup found as a ``PermGroup``, built on each read;
+        its order is its degree, so it sifts nothing."""
+        if self.generators is None:
+            return None
+        n = len(self.generators[0]) if self.generators else 1
+        return PermGroup(n, self.generators, order=n)
 
 
 def _is_semiregular(p: Perm) -> bool:
@@ -555,18 +582,18 @@ def regular_subgroup_search(graph: Graph, aut: AutResult,
     rejected candidate counts as one node, as each element a closure admits
     does, so the budget bounds the whole walk.  Exhausting the search space
     is a definitive "no regular subgroup"; running out of budget is not.
-    The group found is checked regular by ``_generates_regular`` and built
-    with its order n given, so its ``PermGroup`` sifts nothing.
+    When |Aut| = n, Aut itself is the answer, as ``aut.generators``, and no
+    ``PermGroup`` is built; the generators of a group found are checked
+    regular by ``_generates_regular``.
     """
     n = graph.n
     if n == 0 or len(aut.orbits) > 1:
         return RegularSearchOutcome(None, True, 0)
-    group = aut.group
     if aut.order == n:
-        return RegularSearchOutcome(group, True, 0)
+        return RegularSearchOutcome(list(aut.generators), True, 0)
     walk = _bfs_vertex_order(graph)
-    transversal = _transversal_of_0(group.generators, n)
-    stab0 = group.stabilizer(0)
+    transversal = _transversal_of_0(aut.generators, n)
+    stab0 = aut.group.stabilizer(0)
     nodes = 0
 
     def count_node() -> None:
@@ -606,7 +633,7 @@ def regular_subgroup_search(graph: Graph, aut: AutResult,
         return RegularSearchOutcome(None, True, nodes)
     if not _generates_regular(found, n):
         raise RuntimeError("regular search returned a non-regular group")
-    return RegularSearchOutcome(PermGroup(n, found, order=n), True, nodes)
+    return RegularSearchOutcome(list(found), True, nodes)
 
 
 @dataclass
@@ -748,8 +775,7 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
                 return None, exhausted
         outcome = regular_subgroup_search(z, z_aut, regular_budget)
         nodes += outcome.nodes
-        group = outcome.group
-        return None if group is None else group.generators, outcome.exhausted
+        return outcome.generators, outcome.exhausted
 
     try:
         aut = automorphism_group(graph, seeds, ir_budget)

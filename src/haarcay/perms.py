@@ -176,11 +176,14 @@ class PermGroup:
             self._levels.append(_Level(b))
         for g in self.generators:
             self._ensure_base_covers(g)
-        for i, level in enumerate(self._levels):
-            level.gens = [g for g in self.generators
-                          if all(g[self._levels[j].point] == self._levels[j].point
-                                 for j in range(i))]
+        # level i's generators are those fixing the base points before it,
+        # in the order of ``generators``: level i-1's list filtered by its
+        # one point, so the levels are built in one linear pass
+        gens = list(self.generators)
+        for level in self._levels:
+            level.gens = gens
             self._orbit_transversal(level)
+            gens = [g for g in gens if g[level.point] == level.point]
         i = len(self._levels) - 1
         while i >= 0 and (order is None or self.order < order):
             jump = self._process_level(i)

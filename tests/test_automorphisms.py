@@ -393,18 +393,20 @@ def _count_perm_group_builds(monkeypatch) -> list:
 
 
 def test_generic_cayley_status_perm_group_builds(monkeypatch):
-    """C24 and its complement are connected, so it builds Aut, the point
-    stabilizer and the regular group found: the regular search reuses Aut's
-    BSGS, whose base already starts at vertex 0.  K4,4 (complement 2K4, one
-    part is E4, which is 4K1) and 4C6 are decided on one copy: the search
-    runs there, and each reduction level's copies become fibres through a
-    Schreier tree over its Aut generators, not through a BSGS.  The lifted
-    generators are checked at the Cayley exit by their closure, so no group
-    is built on the whole graph."""
+    """C24 and its complement are connected, so it builds Aut and the point
+    stabilizer: the regular search reuses Aut's BSGS, whose base already
+    starts at vertex 0, and hands back the generators it found without a
+    group.  K4,4 (complement 2K4, one part is E4, which is 4K1) and 4C6 are
+    decided on one copy: the search runs there, and each reduction level's
+    copies become fibres through a Schreier tree over its Aut generators,
+    not through a BSGS.  On K4,4's one-vertex quotient |Aut| is the degree,
+    so Aut's generators are the answer and no group is built at all.  The
+    lifted generators are checked at the Cayley exit by their closure, so
+    no group is built on the whole graph."""
     built = _count_perm_group_builds(monkeypatch)
-    expected = [(cycle_graph(24), [24] * 3),
-                (complete_bipartite(4, 4), [1]),
-                (disjoint_union([cycle_graph(6)] * 4), [6, 6, 6])]
+    expected = [(cycle_graph(24), [24] * 2),
+                (complete_bipartite(4, 4), []),
+                (disjoint_union([cycle_graph(6)] * 4), [6, 6])]
     for g, sizes in expected:
         built.clear()
         cert = cayley_status(g)
@@ -448,7 +450,7 @@ def test_the_cayley_exit_refuses_a_non_regular_group_from_each_source(monkeypatc
             cayley_status(disjoint_union([cycle_graph(6)] * 4))
     with monkeypatch.context() as m:
         m.setattr(automorphisms, "regular_subgroup_search",
-                  lambda z, z_aut, budget: RegularSearchOutcome(z_aut.group, True, 0))
+                  lambda z, z_aut, budget: RegularSearchOutcome(z_aut.generators, True, 0))
         with pytest.raises(RuntimeError, match="not a regular group"):
             cayley_status(cycle_graph(6))
 
@@ -545,9 +547,9 @@ def test_regular_search_budget_counts_rejected_candidates():
     aut = automorphism_group(g)
     assert sum(PermGroup(10, [p]).is_semiregular() for p in aut.group.elements()) == 25
     full = regular_subgroup_search(g, aut)
-    assert full.group is None and full.exhausted
+    assert full.generators is None and full.exhausted
     cut = regular_subgroup_search(g, aut, budget=full.nodes - 1)
-    assert cut.group is None and not cut.exhausted and cut.nodes == full.nodes
+    assert cut.generators is None and not cut.exhausted and cut.nodes == full.nodes
 
 
 SMALL_VERTEX_TRANSITIVE = [
@@ -848,15 +850,13 @@ def test_refinement_agrees_with_the_reference(data):
 
 def test_group_is_the_bsgs_read_off_the_search(monkeypatch):
     """``AutResult.group`` takes the search's base and strong generators.  On
-    unseeded graphs whose twin classes have at most two members (twin-free
-    ones among them, as ``cayley_status``'s regular search gets) it sifts
-    nothing.  With seeds (hinted Haar graphs with twins) or bigger classes
-    it may sift, and graphs with bigger classes are checked only up to 32
-    points: above that their Schreier-Sims run takes up to 0.6 s a graph.
-    Either way its base starts with ``res.base``, its order is
-    ``res.order``, and a permutation is a member exactly when it is an
-    automorphism and, up to 32 points, when Schreier-Sims on the generators
-    alone says so."""
+    every unseeded graph, twin-free ones (as ``cayley_status``'s regular
+    search gets) and those with twin classes of any size alike, it sifts
+    nothing and its base is ``res.base``.  With seeds (hinted Haar graphs
+    with twins) it may sift, and its base starts with ``res.base``.  Either
+    way its order is ``res.order``, and a permutation is a member exactly
+    when it is an automorphism and, up to 32 points, when Schreier-Sims on
+    the generators alone says so."""
     sifts = []
     sift_from = PermGroup._sift_from
     inputs = [(g, ()) for g in _search_order_graphs()]
@@ -868,23 +868,21 @@ def test_group_is_the_bsgs_read_off_the_search(monkeypatch):
                 inputs.append((g, seeds))
     assert sum(1 for _, seeds in inputs if seeds) > 10
     rng = random.Random(17)
-    strong = 0
+    big_classes = 0
     for g, seeds in inputs:
         res = automorphism_group(g, seeds)
         largest, level = 1, res
         while level.twin_quotient is not None:
             classes, _, level = level.twin_quotient
             largest = max(largest, *map(len, classes))
-        if largest > 2 and g.n > 32:
-            continue
         sifts.clear()
         with monkeypatch.context() as patch:
             patch.setattr(PermGroup, "_sift_from",
                           lambda self, p, start: sifts.append(1) or sift_from(self, p, start))
             group = res.group
-        if not seeds and largest <= 2:
-            assert sifts == [], g
-            strong += 1
+        if not seeds:
+            assert sifts == [] and group.base == res.base, g
+            big_classes += largest > 2
         assert group.order == res.order and group.base[:len(res.base)] == res.base, g
         if len(res.orbits) == 1 and res.order > 1:
             assert group.base[0] == 0, g
@@ -901,7 +899,61 @@ def test_group_is_the_bsgs_read_off_the_search(monkeypatch):
                 assert group.contains(x) == g.is_automorphism(x), g
                 assert reference is None or reference.contains(x) == group.contains(x), g
             assert group.contains(p), g
-    assert strong > 60
+    assert big_classes > 60
+
+
+def test_nested_twin_levels_give_a_complete_bsgs(monkeypatch):
+    """Relabelled E_m, K_m,m, Y[E_m], Y[K_m] and (Y[E_m])[K_k] for Y the
+    5-cycle, Petersen and K3,3, m = 3-4 and k = 2-3: each has a twin class
+    of three or more, some two nested twin levels, yet ``group`` sifts
+    nothing.  Its order is
+    ``res.order`` and sympy's order of ``res.generators``; the strong
+    generators it adds, the classes' adjacent transpositions lifted through
+    the levels, are automorphisms; a product of generators is a member and
+    a non-automorphism is not.  ``generators`` stay compact: at every level,
+    one transposition per class of two and a transposition and a cycle per
+    bigger class (E2000 has two in all)."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    sifts = []
+    sift_from = PermGroup._sift_from
+    monkeypatch.setattr(PermGroup, "_sift_from",
+                        lambda self, p, start: sifts.append(1) or sift_from(self, p, start))
+    graphs = []
+    for m, k in ((3, 3), (4, 2)):
+        graphs += [empty_graph(m), complete_bipartite(m, m)]
+        for y in (cycle_graph(5), petersen(), complete_bipartite(3, 3)):
+            blown = lex_product(y, empty_graph(m))
+            graphs += [blown, lex_product(y, complete_graph(m)),
+                       lex_product(blown, complete_graph(k))]
+    rng = random.Random(23)
+    for x in graphs:
+        perm = list(range(x.n))
+        rng.shuffle(perm)
+        g = x.relabel(perm)
+        res = automorphism_group(g)
+        sifts.clear()
+        group = res.group
+        assert sifts == [] and group.order == res.order, x
+        assert PermutationGroup([Permutation(list(p)) for p in res.generators]).order() \
+            == res.order, x
+        added = [p for p in group.generators if p not in res.generators]
+        assert added and all(g.is_automorphism(p) for p in added), x
+        p = identity_perm(g.n)
+        for _ in range(8):
+            p = pmul(p, rng.choice(res.generators))
+        assert group.contains(p), x
+        if res.order < math.factorial(g.n):
+            q = tuple(rng.sample(range(g.n), g.n))
+            while g.is_automorphism(q):
+                q = tuple(rng.sample(range(g.n), g.n))
+            assert not group.contains(q), x
+        compact, level = 0, res
+        while level.twin_quotient is not None:
+            classes, _, level = level.twin_quotient
+            compact += sum(min(len(members) - 1, 2) for members in classes)
+        assert len(res.generators) == compact + len(level.generators), x
+    assert len(automorphism_group(empty_graph(2000)).generators) == 2
 
 
 def test_automorphism_group_builds_no_perm_group(monkeypatch):
