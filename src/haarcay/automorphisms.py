@@ -22,8 +22,10 @@ of its first child under those fixing its prefix is one factor of |Aut|: the
 search reads the group order off the first path, and no Schreier-Sims run is
 needed for it.  For the same reason the vertices individualised along the
 first path are a base and the automorphisms found a strong generating set
-for it, so on a graph searched without seeds ``AutResult.group`` is built
-from them without a sift.
+for it, so ``AutResult.group`` is built from them without a sift.  Seeds,
+automorphisms known in advance, are verified and join those found from the
+start: they prune the search and lie in the group, and change neither the
+group, the orbits nor the canonical labelling.
 
 Refinement works on one ordered partition held in position arrays (the
 vertices listed cell by cell, the start of each vertex's cell, the size of
@@ -52,7 +54,10 @@ Theory, 2005, section 4.1).  A lifted generator that fixes a quotient base
 point fixes its class pointwise, and one that fixes the whole quotient base
 is the identity, so past the quotient's base only the transpositions of the
 classes not yet fixed move anything: every basic orbit is full, and the
-group of a graph searched without seeds needs no sift at any class size.
+group needs no sift at any class size.  Seeds are projected to the
+innermost quotient once and searched there; each outer level is built from
+its quotient's result alone, so on a graph with twins a seed lies in the
+group without being one of its generators.
 """
 
 from __future__ import annotations
@@ -218,9 +223,9 @@ class AutResult:
     """The automorphism group of a graph as the search found it.  ``base``
     is the search's first path (lifted through the twin levels).
     ``generators`` stay compact, a transposition per twin class and a cycle
-    per class of three or more; without seeds they are a strong generating
-    set for the base once every class's adjacent transpositions join them,
-    as they do in ``group``.  Vertex 0 comes first only when the graph is
+    per class of three or more; they are a strong generating set for the
+    base once every class's adjacent transpositions join them, as they do in
+    ``group``, seeded or not.  Vertex 0 comes first only when the graph is
     vertex-transitive: the root cell is then the whole vertex set, and the
     search branches on its first vertex."""
     degree: int
@@ -241,7 +246,7 @@ class AutResult:
         ``generators`` followed by the adjacent transpositions of every twin
         class (``_class_transpositions``), handed to ``PermGroup`` with
         ``order``, which sifts only while the product of the basic orbits is
-        below it.  Without seeds it is not, whatever the class sizes, so
+        below it.  It never is, whatever the seeds or the class sizes, so
         nothing is sifted.  Built on first use (orbits, order and canonical
         data never need it); on a vertex-transitive graph vertex 0 is the
         first base point, so the regular search uses it as it is."""
@@ -437,11 +442,15 @@ def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
                        budget: int = IR_BUDGET) -> AutResult:
     """Full automorphism group with orbit partition, order and canonical
     labelling.  ``seeds`` may carry already-known automorphisms.  They are
-    verified and join ``generators``, and may prune more of the search, but
-    they change neither the orbits, nor the group, nor the canonical labelling.
+    verified (a non-automorphism raises ``ValueError``), prune the search and
+    lie in the group, but they change neither the group, nor the orbits, nor
+    the canonical labelling.  They join the innermost search's generators,
+    projected to its quotient; on a graph without twins that is the graph
+    itself, so they lead ``generators``, the identity and repeats dropped.
 
     Twin classes are merged first, recursively; the search runs on the
-    coloured quotient, whose nodes ``nodes`` counts.  Its generators are
+    coloured quotient, whose nodes ``nodes`` counts.  Each outer level is
+    built from its quotient's result alone: the quotient's generators are
     lifted member by member and joined by a transposition and a cycle per
     class, the order gains m! per class of size m, and the canonical
     labelling and the orbits are expanded class by class.  The base becomes
@@ -457,20 +466,19 @@ def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
             if not graph.is_automorphism(s):
                 raise ValueError("seed permutation is not an automorphism")
             gens.append(s)
-    levels: list[tuple[Graph, list[list[int]], list[Perm]]] = []
-    quotient, colours, projected = graph, [0] * graph.n, gens
+    levels: list[tuple[Graph, list[list[int]]]] = []
+    quotient, colours = graph, [0] * graph.n
     while (classes := _twin_classes(quotient.rows, colours)) is not None:
-        levels.append((quotient, classes, projected))
+        levels.append((quotient, classes))
         quotient, class_of = _twin_quotient(quotient, classes)
-        images = (tuple(class_of[s[members[0]]] for members in classes) for s in projected)
-        projected = [q for q in dict.fromkeys(images) if not is_identity(q)]
+        images = (tuple(class_of[s[members[0]]] for members in classes) for s in gens)
+        gens = [q for q in dict.fromkeys(images) if not is_identity(q)]
         colours = [(colours[members[0]], len(members)) for members in classes]
     cells: dict = {}
     for v, colour in enumerate(colours):
         cells.setdefault(colour, []).append(v)
-    result = _AutSearch(quotient, [cells[c] for c in sorted(cells)], projected, budget).run()
-    for g, classes, g_seeds in reversed(levels):
-        found = result.generators[len(projected):]
+    result = _AutSearch(quotient, [cells[c] for c in sorted(cells)], gens, budget).run()
+    for g, classes in reversed(levels):
         order = result.order
         for members in classes:
             order *= factorial(len(members))
@@ -484,10 +492,10 @@ def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
         in_base = set(base)
         base += [v for members in classes for v in members[:-1] if v not in in_base]
         result = AutResult(
-            g.n, g_seeds + _lift_quotient_perms(found, classes) + _class_permutations(classes),
+            g.n, _lift_quotient_perms(result.generators, classes) + _class_permutations(classes),
             [sorted(v for c in orbit for v in classes[c]) for orbit in result.orbits],
             tuple(pos), result.nodes, order, base, (classes, quotient, result))
-        quotient, projected = g, g_seeds
+        quotient = g
     return result
 
 

@@ -12,6 +12,7 @@ element numbering reproducible bit for bit.
 from __future__ import annotations
 
 import re
+from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 AUT_TABLE_CAP = 200            # automorphism search refuses larger tables
@@ -63,7 +64,7 @@ class GroupTable:
         associativity (exact, by Light's test)."""
         n = self.order
         if n < 1 or n > TABLE_ORDER_CAP:
-            raise GroupConstructionError(f"order {n} outside supported range 1..{TABLE_ORDER_CAP}")
+            raise _order_error(n)
         full = (1 << n) - 1
         for x in range(n):
             row_mask = 0
@@ -435,6 +436,31 @@ def is_inner_abelian(H: GroupTable) -> bool:
 
 # -- family constructors ------------------------------------------------------
 
+def _order_error(order) -> GroupConstructionError:
+    return GroupConstructionError(f"order {order} outside supported range 1..{TABLE_ORDER_CAP}")
+
+
+def _refuse_oversize(*powers: tuple[int, int]) -> None:
+    """Refuse, with ``validate``'s message, a group whose order, the product
+    of base ** exp over ``powers``, passes ``TABLE_ORDER_CAP``.  Every family
+    constructor calls it as soon as its parameters give the order, before
+    any primality test, polynomial search or table.  Factors with |base| < 2
+    or exp < 1 are left out (the family checks refuse those parameters), and
+    an order of more than 4096 bits is written as a product of powers, not
+    built."""
+    powers = tuple((abs(b), e) for b, e in powers if abs(b) > 1 and e > 0)
+    bits = sum(e * b.bit_length() for b, e in powers)   # log2(order) < bits
+    if bits <= TABLE_ORDER_CAP.bit_length() - 1:
+        return
+    if bits > 4096:
+        raise _order_error("*".join(f"{b}^{e}" for b, e in powers))
+    order = 1
+    for b, e in powers:
+        order *= b ** e
+    if order > TABLE_ORDER_CAP:
+        raise _order_error(order)
+
+
 class _MixedRadix:
     """Codes 0..size-1 for digit vectors whose i-th digit lies in
     0..sizes[i]-1, the first digit most significant."""
@@ -477,6 +503,7 @@ def _table_from_forms(forms: list[tuple], mul: Callable[[tuple, tuple], tuple],
 
 
 def cyclic_group(n: int) -> GroupTable:
+    _refuse_oversize((n, 1))
     if n < 1:
         raise GroupConstructionError("cyclic group needs n >= 1")
     mult = [[(i + j) % n for j in range(n)] for i in range(n)]
@@ -485,6 +512,7 @@ def cyclic_group(n: int) -> GroupTable:
 
 def dihedral_group(n: int) -> GroupTable:
     """Dihedral group of order 2n: a^n = b^2 = 1, b a b = a^-1."""
+    _refuse_oversize((2, 1), (n, 1))
     if n < 1:
         raise GroupConstructionError("dihedral group needs n >= 1")
 
@@ -517,6 +545,7 @@ def mp_group(p: int, m: int, n: int) -> GroupTable:
 
     Normal form a^i b^j with a^i b^j * a^k b^l = a^(i+k-p^(m-1)kj) b^(j+l).
     """
+    _refuse_oversize((p, m + n))
     if not _is_prime(p):
         raise GroupConstructionError(f"p={p} is not prime")
     if m < 2 or n < 1:
@@ -537,6 +566,7 @@ def mp_group(p: int, m: int, n: int) -> GroupTable:
 
 def mp1_group(p: int, m: int, n: int) -> GroupTable:
     """a^(p^m) = b^(p^n) = c^p = 1, [a,b] = c central; order p^(m+n+1)."""
+    _refuse_oversize((p, m + n + 1))
     if not _is_prime(p):
         raise GroupConstructionError(f"p={p} is not prime")
     if n < 1 or m < n:
@@ -614,17 +644,11 @@ def _canonical_action_matrix(p: int, n: int, q: int) -> list[list[int]]:
 
 
 def _monic_polys(p: int, n: int):
-    """Lower coefficient tuples of monic degree-n polynomials, lex order."""
-    def rec(k):
-        if k == 0:
-            yield []
-            return
-        for rest in rec(k - 1):
-            for c in range(p):
-                yield rest + [c]
-    # lex on (c_{n-1}, ..., c_0) so the least polynomial comes first
-    for tup in sorted(rec(n), key=lambda t: t[::-1]):
-        yield tup
+    """Lower coefficient lists [c_0, ..., c_n-1] of the monic degree-n
+    polynomials over F_p, lazily, in lex order on (c_n-1, ..., c_0), so the
+    least polynomial comes first."""
+    for t in product(range(p), repeat=n):
+        yield list(t[::-1])
 
 
 def _action_powers(codec: _MixedRadix, images: Sequence[Sequence[int]],
@@ -667,6 +691,7 @@ def miller_moreno_group(p: int, n: int, q: int, m: int,
                         matrix: Optional[Sequence[Sequence[int]]] = None) -> GroupTable:
     """Z_p^n semidirect Z_(q^m), the top generator acting on the vector part
     by a fixed-point-free automorphism of multiplicative order q."""
+    _refuse_oversize((p, n), (q, m))
     if not (_is_prime(p) and _is_prime(q)) or p == q:
         raise GroupConstructionError("p and q must be distinct primes")
     if n < 1 or m < 1:
@@ -753,6 +778,7 @@ def presented_group(ngens: int, relators: Sequence[str],
     for g in range(ngens):
         if not orders[g]:
             raise GroupConstructionError(f"generator {labels[g]!r} lacks a power relator")
+    _refuse_oversize(*((k, 1) for k in orders))
     for i in range(t):
         for j in range(i + 1, t):
             if (i, j) not in commuting:
@@ -801,6 +827,7 @@ def presented_group(ngens: int, relators: Sequence[str],
 def direct_product(factors: Sequence[GroupTable]) -> GroupTable:
     if not factors:
         return cyclic_group(1)
+    _refuse_oversize(*((G.order, 1) for G in factors))
     codec = _MixedRadix([G.order for G in factors])
     digits = [codec.decode(c) for c in range(codec.size)]
     mult = [[codec.encode(G.mult[x][y] for G, x, y in zip(factors, u, v)) for v in digits]

@@ -848,17 +848,24 @@ def test_refinement_agrees_with_the_reference(data):
         sorted(map(sorted, _refine(g.rows, child, [1 << v, mask_of(rest)])))
 
 
-def test_group_is_the_bsgs_read_off_the_search(monkeypatch):
-    """``AutResult.group`` takes the search's base and strong generators.  On
-    every unseeded graph, twin-free ones (as ``cayley_status``'s regular
-    search gets) and those with twin classes of any size alike, it sifts
-    nothing and its base is ``res.base``.  With seeds (hinted Haar graphs
-    with twins) it may sift, and its base starts with ``res.base``.  Either
-    way its order is ``res.order``, and a permutation is a member exactly
-    when it is an automorphism and, up to 32 points, when Schreier-Sims on
-    the generators alone says so."""
+def _sift_free(res):
+    """Whether ``res.group`` is built without a single sift."""
     sifts = []
     sift_from = PermGroup._sift_from
+    with mock.patch.object(PermGroup, "_sift_from",
+                           lambda self, p, start: sifts.append(1) or sift_from(self, p, start)):
+        res.group
+    return sifts == []
+
+
+def test_group_is_the_bsgs_read_off_the_search():
+    """``AutResult.group`` takes the search's base and strong generators.  On
+    every graph, twin-free ones (as ``cayley_status``'s regular search gets),
+    those with twin classes of any size, and hinted Haar graphs with twins
+    searched with their right translations as seeds alike, it sifts nothing,
+    its base is ``res.base`` and its order is ``res.order``.  A permutation
+    is a member exactly when it is an automorphism and, up to 32 points,
+    when Schreier-Sims on the generators alone says so."""
     inputs = [(g, ()) for g in _search_order_graphs()]
     for H in constructor_catalog(12):
         seeds = right_translation_group_perms(H)
@@ -875,15 +882,10 @@ def test_group_is_the_bsgs_read_off_the_search(monkeypatch):
         while level.twin_quotient is not None:
             classes, _, level = level.twin_quotient
             largest = max(largest, *map(len, classes))
-        sifts.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(PermGroup, "_sift_from",
-                          lambda self, p, start: sifts.append(1) or sift_from(self, p, start))
-            group = res.group
-        if not seeds:
-            assert sifts == [] and group.base == res.base, g
-            big_classes += largest > 2
-        assert group.order == res.order and group.base[:len(res.base)] == res.base, g
+        assert _sift_free(res), g
+        group = res.group
+        assert group.base == res.base and group.order == res.order, g
+        big_classes += not seeds and largest > 2
         if len(res.orbits) == 1 and res.order > 1:
             assert group.base[0] == 0, g
         if not res.generators:
@@ -902,7 +904,7 @@ def test_group_is_the_bsgs_read_off_the_search(monkeypatch):
     assert big_classes > 60
 
 
-def test_nested_twin_levels_give_a_complete_bsgs(monkeypatch):
+def test_nested_twin_levels_give_a_complete_bsgs():
     """Relabelled E_m, K_m,m, Y[E_m], Y[K_m] and (Y[E_m])[K_k] for Y the
     5-cycle, Petersen and K3,3, m = 3-4 and k = 2-3: each has a twin class
     of three or more, some two nested twin levels, yet ``group`` sifts
@@ -915,10 +917,6 @@ def test_nested_twin_levels_give_a_complete_bsgs(monkeypatch):
     bigger class (E2000 has two in all)."""
     from sympy.combinatorics import Permutation, PermutationGroup
 
-    sifts = []
-    sift_from = PermGroup._sift_from
-    monkeypatch.setattr(PermGroup, "_sift_from",
-                        lambda self, p, start: sifts.append(1) or sift_from(self, p, start))
     graphs = []
     for m, k in ((3, 3), (4, 2)):
         graphs += [empty_graph(m), complete_bipartite(m, m)]
@@ -932,9 +930,9 @@ def test_nested_twin_levels_give_a_complete_bsgs(monkeypatch):
         rng.shuffle(perm)
         g = x.relabel(perm)
         res = automorphism_group(g)
-        sifts.clear()
+        assert _sift_free(res), x
         group = res.group
-        assert sifts == [] and group.order == res.order, x
+        assert group.order == res.order, x
         assert PermutationGroup([Permutation(list(p)) for p in res.generators]).order() \
             == res.order, x
         added = [p for p in group.generators if p not in res.generators]
@@ -983,7 +981,8 @@ def _conjugate(p, perm):
 def test_twin_substitutions_keep_canonical_form_and_seeds(data):
     """A relabelled twin substitution has the same canonical form and order,
     and automorphisms passed as seeds survive the projection to the twin
-    quotient: they stay among the generators and change nothing else."""
+    quotient: they lie in the group, which sifts nothing, and change nothing
+    else."""
     n = data.draw(st.integers(1, 6), label="n")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]),
@@ -999,14 +998,15 @@ def test_twin_substitutions_keep_canonical_form_and_seeds(data):
     assert h.relabel(moved.canonical) == form and moved.order == res.order
     seeds = [_conjugate(p, perm) for p in res.generators[:3]]
     seeded = automorphism_group(h, seeds)
-    assert seeded.generators[:len(seeds)] == seeds
+    assert _sift_free(seeded) and all(seeded.group.contains(s) for s in seeds)
     assert seeded.order == moved.order and h.relabel(seeded.canonical) == form
     assert sorted(seeded.orbits) == sorted(moved.orbits)
 
 
 def test_hinted_seeds_survive_the_twin_quotient():
     """Right translations of a Haar graph with twins project to the
-    quotient; the result equals the unseeded one apart from generators."""
+    quotient; they lie in the group, which sifts nothing, and the result
+    equals the unseeded one apart from generators."""
     checked = 0
     for H in constructor_catalog(12):
         seeds = [p for p in map(tuple, right_translation_group_perms(H)) if p != tuple(range(len(p)))]
@@ -1016,7 +1016,7 @@ def test_hinted_seeds_survive_the_twin_quotient():
                 continue
             checked += 1
             plain, seeded = automorphism_group(g), automorphism_group(g, seeds)
-            assert seeded.generators[:len(seeds)] == seeds
+            assert _sift_free(seeded) and all(seeded.group.contains(s) for s in seeds)
             assert seeded.order == plain.order and seeded.orbits == plain.orbits
             assert g.relabel(seeded.canonical) == g.relabel(plain.canonical)
     assert checked > 10

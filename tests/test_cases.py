@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,16 @@ from haarcay.groups import (
 )
 
 from oracles import all_subgroups, reference_class, reference_class_representatives
+
+
+def _cli_env() -> dict:
+    """The environment for running ``python -m haarcay.cli`` in a
+    subprocess: this package's source first on ``PYTHONPATH``."""
+    import haarcay
+    env = dict(os.environ)
+    src = str(Path(haarcay.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def subgroup_table(H: GroupTable, mask: int) -> GroupTable:
@@ -143,15 +157,7 @@ def test_reproduce_all_reports_the_work_of_every_case(capsys):
 def test_reproduce_under_python_O_matches_normal_run():
     """The runtime checks are explicit raises, so stripping asserts with -O
     changes no output, and a group order that is wrong still raises."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import haarcay
-    env = dict(os.environ)
-    src = str(Path(haarcay.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _cli_env()
     for cid in ("d14-not-vt", "obstruct-z7-z4"):
         runs = []
         for flags in ([], ["-O"]):
@@ -638,20 +644,27 @@ def test_cli_aut_prints_the_search_order_without_schreier_sims(tmp_path, capsys,
     assert out["vertex_transitive"] and out["nodes"] == 1
 
 
+def test_cli_refuses_an_oversize_group_in_bounded_memory():
+    """``build-group 'Cyclic(1000000)'`` is refused from its parameters,
+    so it exits 2 with one line on stderr inside a 1 GB address space and
+    20 s; building the table first would need terabytes."""
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "haarcay.cli", "build-group", "Cyclic(1000000)"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=20,
+                          preexec_fn=limit_memory)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["haarcay: order 1000000 outside supported range 1..1024"]
+
+
 def test_cli_closed_pipe_exits_141_silently():
     """A reader that stops after one line is not bad input: no message, and
     the exit status a SIGPIPE kill would give."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import haarcay
-    env = dict(os.environ)
-    src = str(Path(haarcay.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, "-m", "haarcay.cli", "enumerate", "Dihedral(6)"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     try:
         assert json.loads(proc.stdout.readline())["verdict"]
         proc.stdout.close()
@@ -668,7 +681,6 @@ def test_tracer_counter_names_resolve_in_haarcay():
     with ``getattr`` on the haarcay package, and reads ``len`` of what
     ``part_swap_maps`` returns; a rename in haarcay must not break it."""
     import ast
-    from pathlib import Path
 
     import haarcay
     from haarcay.bicayley import part_swap_maps

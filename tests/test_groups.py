@@ -1,14 +1,18 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 
 from haarcay.cases import A4_SPEC, CATALOG, Z23_Z7_SPEC, Z24_Z5_SPEC, constructor_catalog
+from haarcay import groups
 from haarcay.groups import (
+    TABLE_ORDER_CAP,
     GroupConstructionError,
     GroupTable,
     _generator_walk,
     _isomorphisms,
+    _monic_polys,
     center_mask,
     connection_set,
     cyclic_group,
@@ -86,6 +90,54 @@ def test_constraint_violations_are_reported():
         miller_moreno_group(2, 4, 3, 1)  # n >= q
     with pytest.raises(GroupConstructionError, match="ord"):
         miller_moreno_group(2, 6, 7, 1)  # ord_7(2)=3, no degree-6 action
+
+
+def test_oversize_orders_are_refused_before_any_work(monkeypatch):
+    """Every family constructor computes its order from the parameters and
+    refuses one past ``TABLE_ORDER_CAP`` with ``validate``'s message before
+    any primality test past the cap, polynomial search or table: each of
+    those builders raises here if it is reached.  The first inputs are just
+    over the cap; the others would take hours or all memory to build."""
+    c64, c32 = cyclic_group(64), cyclic_group(32)
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a builder ran for an oversize group")
+
+    for name in ("_table_from_forms", "_semidirect_table", "_action_powers",
+                 "_canonical_action_matrix"):
+        monkeypatch.setattr(groups, name, reached)
+    monkeypatch.setattr(GroupTable, "__init__", reached)
+    is_prime = groups._is_prime
+    monkeypatch.setattr(groups, "_is_prime",
+                        lambda p: reached() if p > TABLE_ORDER_CAP else is_prime(p))
+    mersenne = 2 ** 89 - 1
+    cases = [
+        (cyclic_group, (1025,), 1025),
+        (dihedral_group, (513,), 1026),
+        (mp_group, (2, 6, 5), 2048),
+        (mp1_group, (2, 5, 5), 2048),
+        (miller_moreno_group, (3, 4, 5, 2), 81 * 25),
+        (cyclic_group, (10 ** 6,), 10 ** 6),
+        (mp_group, (2, 30, 30), 2 ** 60),
+        (direct_product, ([c64, c32],), 2048),
+        (miller_moreno_group, (2, 20, 41, 1), 2 ** 20 * 41),
+        (presented_group, (1, ["x" * 10 ** 5]), 10 ** 5),
+        (mp_group, (mersenne, 2, 1), mersenne ** 3),
+        (mp_group, (2, 10 ** 5, 1), "2\\^100001"),
+    ]
+    for build, args, order in cases:
+        with pytest.raises(GroupConstructionError,
+                           match=rf"^order {order} outside supported range 1\.\.{TABLE_ORDER_CAP}$"):
+            build(*args)
+
+
+def test_monic_polys_in_lex_order_of_the_high_coefficients():
+    for p in (2, 3, 5, 7):
+        for n in range(1, 12):
+            if p ** n > 3000:
+                break
+            tuples = sorted(itertools.product(range(p), repeat=n), key=lambda t: t[::-1])
+            assert list(_monic_polys(p, n)) == [list(t) for t in tuples], (p, n)
 
 
 def test_axioms_hold_on_catalog():
