@@ -64,9 +64,6 @@ class PartFixMap:
     g: int
     perm: Perm
 
-    def witness(self) -> dict:
-        return {"kind": "part_fix", "aut": list(self.aut), "g": self.g}
-
 
 def swap_vertex_perm(H: GroupTable, aut: Sequence[int], x: int, y: int) -> Perm:
     n = H.order

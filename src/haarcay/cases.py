@@ -469,10 +469,9 @@ def reproduce(case_id: str) -> dict:
     return run_case(CASE_INDEX[case_id])
 
 
-def reproduce_all(case_ids: Optional[list[str]] = None) -> list[dict]:
-    """Run catalog cases (all by default) in case_id order."""
-    ids = sorted(CASE_INDEX) if case_ids is None else sorted(case_ids)
-    return [reproduce(cid) for cid in ids]
+def reproduce_all() -> list[dict]:
+    """Run every catalog case in case_id order."""
+    return [reproduce(cid) for cid in sorted(CASE_INDEX)]
 
 
 # -- inner-abelian scan -----------------------------------------------------------

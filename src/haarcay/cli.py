@@ -60,9 +60,12 @@ def _load_group(spec: str) -> GroupTable:
     spec = spec.strip()
     if spec.startswith("@"):
         spec = Path(spec[1:]).read_text(encoding="utf-8")
-    if spec.lstrip().startswith("{"):
+    if not spec.lstrip().startswith("{"):
+        return group_from_name(spec)
+    try:
         return group_from_spec(json.loads(spec))
-    return group_from_name(spec)
+    except RecursionError:
+        raise ValueError("FamilySpec nested too deeply") from None
 
 
 def _emit(obj) -> None:

@@ -840,37 +840,59 @@ def direct_product(factors: Sequence[GroupTable]) -> GroupTable:
 
 # -- FamilySpec dispatch -------------------------------------------------------
 
-# family -> (constructor, required keys in argument order, optional keys)
-_FAMILIES: dict[str, tuple[Callable[..., GroupTable], tuple[str, ...], tuple[str, ...]]] = {
-    "Cyclic": (cyclic_group, ("n",), ()),
-    "Dihedral": (dihedral_group, ("n",), ()),
-    "Quaternion": (quaternion_group, (), ()),
-    "MpMN": (mp_group, ("p", "m", "n"), ()),
-    "MpMN1": (mp1_group, ("p", "m", "n"), ()),
-    "MillerMoreno": (miller_moreno_group, ("p", "n", "q", "m"), ("matrix",)),
-    "Presented": (presented_group, ("ngens", "relators"), ("labels",)),
+# the JSON shapes of FamilySpec parameters, as named in error messages
+_INT = "an integer"
+_STRINGS = "a list of strings"
+_SPECS = "a list of FamilySpec objects"
+_MATRIX = "a list of lists of integers"
+
+# family -> (constructor, {required key: shape} in argument order, {optional key: shape})
+_FAMILIES: dict[str, tuple[Callable[..., GroupTable], dict[str, str], dict[str, str]]] = {
+    "Cyclic": (cyclic_group, {"n": _INT}, {}),
+    "Dihedral": (dihedral_group, {"n": _INT}, {}),
+    "Quaternion": (quaternion_group, {}, {}),
+    "MpMN": (mp_group, {"p": _INT, "m": _INT, "n": _INT}, {}),
+    "MpMN1": (mp1_group, {"p": _INT, "m": _INT, "n": _INT}, {}),
+    "MillerMoreno": (miller_moreno_group, {"p": _INT, "n": _INT, "q": _INT, "m": _INT},
+                     {"matrix": _MATRIX}),
+    "Presented": (presented_group, {"ngens": _INT, "relators": _STRINGS}, {"labels": _STRINGS}),
     "DirectProduct": (lambda factors: direct_product([group_from_spec(f) for f in factors]),
-                      ("factors",), ()),
+                      {"factors": _SPECS}, {}),
 }
-_SPEC_ONLY = ("Presented", "DirectProduct")  # parameters that are not integers
+
+
+def _has_shape(value, shape: str) -> bool:
+    if shape == _INT:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if not isinstance(value, list):
+        return False
+    if shape == _STRINGS:
+        return all(isinstance(v, str) for v in value)
+    if shape == _SPECS:
+        return all(isinstance(v, dict) for v in value)
+    return all(isinstance(row, list) and all(_has_shape(v, _INT) for v in row) for row in value)
 
 
 def group_from_spec(spec: dict) -> GroupTable:
     """Build a group from the structured FamilySpec format, e.g.
     {"family":"MpMN","p":3,"m":1,"n":1} or
-    {"family":"Presented","ngens":3,"relators":[...]}."""
+    {"family":"Presented","ngens":3,"relators":[...]}.  Every parameter
+    must have its JSON shape, and a key the family does not take is refused."""
     fam = spec.get("family")
-    if fam not in _FAMILIES:
+    if not isinstance(fam, str) or fam not in _FAMILIES:
         raise GroupConstructionError(f"unknown family {fam!r}")
     build, required, optional = _FAMILIES[fam]
     missing = [k for k in required if k not in spec]
     if missing:
         raise GroupConstructionError(
             f"{fam} needs parameters {', '.join(required)}; missing {', '.join(missing)}")
-    for k in required:
-        v = spec[k]
-        if k not in ("relators", "factors") and (not isinstance(v, int) or isinstance(v, bool)):
-            raise GroupConstructionError(f"{fam} parameter {k} must be an integer, got {v!r}")
+    shapes = {**required, **optional}
+    unknown = [repr(k) for k in spec if k != "family" and k not in shapes]
+    if unknown:
+        raise GroupConstructionError(f"{fam} takes no parameter {', '.join(unknown)}")
+    for k, shape in shapes.items():
+        if k in spec and not _has_shape(spec[k], shape):
+            raise GroupConstructionError(f"{fam} parameter {k} must be {shape}, got {spec[k]!r}")
     return build(*[spec[k] for k in required], *[spec.get(k) for k in optional])
 
 
@@ -885,7 +907,7 @@ def group_from_name(name: str) -> GroupTable:
         raise GroupConstructionError(f"cannot parse group name {name!r}")
     fam = "Quaternion" if m.group(1) == "Q8" else m.group(1)
     args = [int(v) for v in m.group(2).split(",")] if m.group(2) else []
-    if fam not in _FAMILIES or fam in _SPEC_ONLY:
+    if fam not in _FAMILIES or any(shape != _INT for shape in _FAMILIES[fam][1].values()):
         raise GroupConstructionError(f"unknown family {fam!r} in group name {name!r}")
     required = _FAMILIES[fam][1]
     if len(args) != len(required):
@@ -896,25 +918,27 @@ def group_from_name(name: str) -> GroupTable:
 
 # -- connection-set words -------------------------------------------------------
 
-_FACTOR_RE = re.compile(r"([A-Za-z])(-?\d+)?")
+_EXPONENT_RE = re.compile(r"(-?\d+)?")
 
 
 def evaluate_word(H: GroupTable, word: str) -> int:
-    """Evaluate a word like 'a-1b2' or 'xyz' over the group's named
-    generators; '1' denotes the identity."""
+    """Evaluate a word like 'a-1b2', 'xyz' or 'a1a2-1' over the group's named
+    generators: at each position the longest generator label, then an
+    optional signed exponent; '1' denotes the identity."""
     word = word.strip()
     if word == "1":
         return 0
     pos = 0
     acc = 0
     gens = dict(H.gens)
+    labels = sorted((lbl for lbl in gens if lbl), key=len, reverse=True)
     while pos < len(word):
-        m = _FACTOR_RE.match(word, pos)
-        if not m or m.group(1) not in gens:
+        label = next((lbl for lbl in labels if word.startswith(lbl, pos)), None)
+        if label is None:
             raise ValueError(f"cannot parse word {word!r} at {pos} over generators {sorted(gens)}")
-        e = gens[m.group(1)]
-        exp = int(m.group(2)) if m.group(2) else 1
-        acc = H.mult[acc][H.power(e, exp)]
+        m = _EXPONENT_RE.match(word, pos + len(label))
+        exp = int(m.group(1)) if m.group(1) else 1
+        acc = H.mult[acc][H.power(gens[label], exp)]
         pos = m.end()
     return acc
 

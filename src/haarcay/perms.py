@@ -293,19 +293,10 @@ class PermGroup:
         cache.update(self.generators)
         return cache.partition()
 
-    def orbit_of(self, v: int) -> list[int]:
-        seen = {v}
-        queue = [v]
-        for a in queue:
-            for g in self.generators:
-                b = g[a]
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        return sorted(seen)
-
     def is_transitive(self) -> bool:
-        return self.degree <= 1 or len(self.orbit_of(0)) == self.degree
+        """Read off the first base point's orbit, which the BSGS stores."""
+        return self.degree <= 1 or (
+            bool(self._levels) and len(self._levels[0].transversal) == self.degree)
 
     def is_semiregular(self) -> bool:
         order = self.order

@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from haarcay.automorphisms import Certificate, cayley_status
 from haarcay.bicayley import BiCayleyHints
@@ -372,7 +373,7 @@ def test_reproduce_all_deterministic_modulo_timing():
 
     def snapshot():
         rows = []
-        for r in reproduce_all(case_ids=fast):
+        for r in map(reproduce, sorted(fast)):
             r.pop("millis")
             rows.append(json.dumps(r, sort_keys=True))
         return rows
@@ -516,6 +517,20 @@ def test_cli_trivial_group_outputs(capsys):
                      "verdict": "cayley"} for s in ([0], [0, 1])]
 
 
+def test_cli_words_over_direct_product_labels(capsys):
+    """``direct_product`` labels its generators a1, a2; words over them
+    parse, a1a2-1 included, so ``status`` and ``haar`` take them."""
+    from haarcay.cli import main
+    spec = json.dumps({"family": "DirectProduct",
+                       "factors": [{"family": "Cyclic", "n": 2}, {"family": "Cyclic", "n": 3}]})
+    assert main(["status", spec, "--set", "1,a1,a2-1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "cayley" and out["group"] == "Cyclic(2)xCyclic(3)"
+    assert out["set"] == [0, 2, 3]
+    assert main(["haar", spec, "--set", "1,a1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "12 12"
+
+
 def test_cli_reproduce_without_arguments_lists_cases(capsys):
     from haarcay.cli import main
     assert main(["reproduce"]) == 2
@@ -533,8 +548,24 @@ def test_cli_reproduce_without_arguments_lists_cases(capsys):
     (["scan-inner-abelian", "--max-order", "101"], None),
     (["scan-inner-abelian", "--max-order", "0"], None),
     (["scan-inner-abelian", "--max-order", "-5"], None),
+    (["build-group", '{"family":"Presented","ngens":1,"relators":[1,2]}'], None),
+    (["build-group", '{"family":"Presented","ngens":1,"relators":5}'], None),
+    (["build-group", '{"family":"Presented","ngens":1,"relators":["xx"],"labels":5}'], None),
+    (["build-group", '{"family":"DirectProduct","factors":[1]}'], None),
+    (["build-group", '{"family":"DirectProduct","factors":5}'], None),
+    (["build-group", '{"family":"MillerMoreno","p":2,"n":2,"q":3,"m":1,"matrix":5}'], None),
+    (["build-group", '{"family":"DirectProduct","factors":{}}'], None),
+    (["build-group", '{"family":"Presented","ngens":1,"relators":"xx"}'], None),
+    (["build-group", '{"family":"MillerMoreno","p":2,"n":2,"q":3,"m":1,'
+                     '"matrix":[[0,1],[1,0.5]]}'], None),
+    (["build-group", '{"family":"Cyclic","n":3,"label":"a"}'], None),
+    (["build-group", '{"family":' + "[" * 100000 + "]" * 100000 + "}"], None),
+    (["build-group", '{"family":"DirectProduct","factors":[' * 400 + '{"family":"Cyclic","n":2}'
+      + "]}" * 400], None),
 ], ids=["bad-name", "bad-json", "bad-word", "bad-budget-env", "zero-budget", "negative-budget",
-        "scan-above-cap", "scan-zero", "scan-negative"])
+        "scan-above-cap", "scan-zero", "scan-negative", "relators-ints", "relators-int",
+        "labels-int", "factors-ints", "factors-int", "matrix-int", "factors-object",
+        "relators-string", "matrix-float", "unknown-key", "deep-json", "deep-factors"])
 def test_cli_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
     from haarcay.cli import main
     if env is not None:
@@ -543,6 +574,56 @@ def test_cli_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+# every FamilySpec family with its own keys, and one key no family takes
+_SPEC_KEYS = {"Cyclic": ("n",), "Dihedral": ("n",), "Quaternion": (),
+              "MpMN": ("p", "m", "n"), "MpMN1": ("p", "m", "n"),
+              "MillerMoreno": ("p", "n", "q", "m", "matrix"),
+              "Presented": ("ngens", "relators", "labels"), "DirectProduct": ("factors",)}
+_ANY_KEY = sorted({k for keys in _SPEC_KEYS.values() for k in keys} | {"label"})
+_SMALL = st.integers(-2, 12)
+_WRONG = st.one_of(st.none(), st.booleans(), st.floats(-2, 12), st.text("xa1", max_size=3), _SMALL,
+                   st.lists(_SMALL, max_size=2),
+                   st.dictionaries(st.text("n", max_size=1), _SMALL, max_size=1))
+
+
+@st.composite
+def _family_specs(draw, depth=0):
+    """FamilySpec-like JSON objects: right and wrong JSON types at every
+    key, keys the family does not take, nested factors to depth 2.  Each
+    deviation is drawn rarely, so most specs reach a constructor."""
+    family = draw(st.sampled_from(["Nope", None, 5]) if draw(st.integers(0, 9)) == 0
+                  else st.sampled_from(list(_SPEC_KEYS)))
+    keys = [k for k in _SPEC_KEYS.get(family, ()) if draw(st.integers(0, 9))]
+    if draw(st.integers(0, 9)) == 0:
+        keys.append(draw(st.sampled_from(_ANY_KEY)))
+    right = {"relators": st.lists(st.text("xyzXY", max_size=5), max_size=4),
+             "labels": st.lists(st.text("xyzuvwX", max_size=2), max_size=4),
+             "matrix": st.lists(st.lists(_SMALL, max_size=3), max_size=3),
+             "factors": st.lists(_family_specs(depth + 1), max_size=2) if depth < 2 else st.just([])}
+    spec = {} if family is None else {"family": family}
+    for k in keys:
+        spec[k] = draw(_WRONG if draw(st.integers(0, 9)) == 0 else right.get(k, _SMALL))
+    return spec
+
+
+def test_cli_family_spec_fuzz_exits_0_or_2(monkeypatch, capsys):
+    """Whatever the FamilySpec, ``build-group`` builds it (0) or refuses it
+    with one line (2); it never raises.  The order cap is lowered to 64 so
+    every accepted build is tiny; the refusal path above it is the same."""
+    from haarcay import groups
+    from haarcay.cli import main
+    monkeypatch.setattr(groups, "TABLE_ORDER_CAP", 64)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(spec=_family_specs())
+    def run(spec):
+        assert main(["build-group", json.dumps(spec)]) in (0, 2)
+        captured = capsys.readouterr()
+        assert len((captured.out + captured.err).splitlines()) == 1
+
+    run()
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "3 1\n0 5\n", "3 1\n5 0\n", "3 1\n0 -1\n",
@@ -696,3 +777,39 @@ def test_tracer_counter_names_resolve_in_haarcay():
         assert callable(getattr(getattr(haarcay, module_name, None), attr, None)), name
     H = quaternion_group()
     assert isinstance(part_swap_maps(H, connection_set(H, "1,i,j")), list)
+
+
+def test_tracer_counters_run_on_haarcay_results(monkeypatch):
+    """perfbench's tracer reads its counters off what the wrapped functions
+    return (``RegularSearchOutcome.group``, ``.nodes``, ``.exhausted``,
+    ``PermGroup.base``, ``len`` of the part swaps, ...).  Run it over a
+    generic and a hinted ``cayley_status``, ``part_swap_maps`` and one
+    obstruction case: every wrapped function that ran records its counters,
+    and the per-pass metrics come out for every name."""
+    from haarcay import automorphisms, bicayley, cases
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+
+    tracer = spans.Tracer(time.perf_counter)
+    tracer.install()
+    try:
+        start = time.perf_counter()
+        assert automorphisms.cayley_status(cycle_graph(24)).verdict == "cayley"
+        H = quaternion_group()
+        S = connection_set(H, "1,i,j")
+        graph, _ = haar_graph(H, S)
+        assert automorphisms.cayley_status(graph, hints=BiCayleyHints(H, S)).verdict == "cayley"
+        assert len(bicayley.part_swap_maps(H, S)) == 48
+        assert cases.run_case(CASE_INDEX["obstruct-m232"])["pass"]
+        passes = [[start, time.perf_counter()]]
+    finally:
+        tracer.uninstall()
+    ran = {span[0] for span in tracer.spans}
+    assert {"automorphisms.regular_subgroup_search", "perms.PermGroup",
+            "bicayley.part_swap_maps", "cases.check_quotient_obstruction"} <= ran
+    for name, counter in spans._COUNTERS.items():
+        if counter is not None and name in ran:
+            assert any(key.startswith(name + ".") for key in tracer.counters), name
+    assert tracer.counters["automorphisms.regular_subgroup_search.found"] >= 1
+    metrics = tracer.metrics(passes, passes, lambda start, end: 1.0)
+    assert set(metrics) >= {metric for metric, _, _ in spans.METRICS}

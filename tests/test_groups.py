@@ -529,6 +529,11 @@ def test_word_evaluation():
     mm = miller_moreno_group(2, 2, 3, 2)
     # a^b as a word: b^-1 a b
     assert evaluate_word(mm, "b-1ab") == mm.conjugate(mm.gen("a"), mm.gen("b"))
+    # direct-product labels a1, a2 have two characters: the longest label is read first
+    C6 = direct_product([cyclic_group(2), cyclic_group(3)])
+    a1, a2 = C6.gen("a1"), C6.gen("a2")
+    assert evaluate_word(C6, "a1a2-1") == C6.mul(a1, C6.inverse(a2))
+    assert evaluate_word(C6, "a22") == C6.power(a2, 2)
 
 
 def test_masks_inverse_and_translates():

@@ -127,7 +127,8 @@ def test_orbit_stabilizer_relation():
         G = PermGroup(n, gens)
         for _ in range(4):
             v = rng.randrange(n)
-            assert G.order == len(G.orbit_of(v)) * G.stabilizer(v).order
+            orbit = next(o for o in G.orbits() if v in o)
+            assert G.order == len(orbit) * G.stabilizer(v).order
 
 
 def test_membership_products_and_rejection():
