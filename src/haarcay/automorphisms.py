@@ -40,32 +40,36 @@ same reason a child refines from its individualised vertex alone, since its
 parent's partition is equitable and the rest of the old cell is that cell
 minus the vertex.
 
-Twins come out before the search: vertices of one colour with equal open
+One walk over levels, with a list in place of recursion, reduces the graph
+before any search.  A twin level: vertices of one colour with equal open
 (else equal closed) neighbourhoods are interchangeable, so each twin class
-merges into one vertex coloured by (colour, class size), until no twins are
-left.  Aut of the graph is the lift of Aut of that coloured quotient times
-the symmetric group of every class (Sabidussi, Duke Math. J. 28, 1961).
-The quotient's base lifts to the first members of its classes, followed by
-all but the last member of every class.  A strong generating set for it is
-the quotient's, lifted member by member, with the adjacent transpositions
-(m_i m_i+1) of every class, which are strong for Sym(class) on the base
-m_0, ..., m_k-2 (Holt, Eick & O'Brien, Handbook of Computational Group
-Theory, 2005, section 4.1).  A lifted generator that fixes a quotient base
-point fixes its class pointwise, and one that fixes the whole quotient base
-is the identity, so past the quotient's base only the transpositions of the
-classes not yet fixed move anything: every basic orbit is full, and the
-group needs no sift at any class size.  Seeds are projected to the
-innermost quotient once and searched there; each outer level is built from
-its quotient's result alone, so on a graph with twins a seed lies in the
+merges into one vertex coloured by (colour, class size).  A part level: a
+twin-free graph that it or its complement splits is the union, or the
+join, of its parts; each part is walked on its own, with its colours, and
+their parts have no twins either.  Aut is the quotient's group lifted
+member by member over fibres, each fibre with a group of its own
+(Sabidussi, Duke Math. J. 28, 1961): over twin classes, Aut of the coloured
+quotient and the symmetric group of every class; over parts listed in
+canonical order, the symmetric group of every run of isomorphic parts, as
+whole-part permutations, and each part's own group.  One routine, ``_lift``,
+builds both.  The base starts with the first base point of the fibres of
+the quotient's base points, then every fibre's base; with the adjacent
+transpositions of every twin class at every level, the lifted generators
+are strong for it (Holt, Eick & O'Brien, Handbook of Computational Group
+Theory, 2005, section 4.1), so every basic orbit is full and the group
+needs no sift.  Seeds are projected to the quotient, restricted to the
+parts they map onto themselves, and searched there, so a seed lies in the
 group without being one of its generators.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from math import factorial
+from itertools import groupby
+from math import factorial, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .bicayley import (
@@ -221,37 +225,36 @@ def _refine(rows: Sequence[int], cells: list[list[int]],
 @dataclass
 class AutResult:
     """The automorphism group of a graph as the search found it.  ``base``
-    is the search's first path (lifted through the twin levels).
-    ``generators`` stay compact, a transposition per twin class and a cycle
-    per class of three or more; they are a strong generating set for the
-    base once every class's adjacent transpositions join them, as they do in
+    is the search's first path, lifted through the levels.  ``generators``
+    stay compact, a transposition and a cycle per twin class or run of
+    isomorphic parts; they are a strong generating set for the base once
+    every twin class's adjacent transpositions join them, as they do in
     ``group``, seeded or not.  Vertex 0 comes first only when the graph is
-    vertex-transitive: the root cell is then the whole vertex set, and the
-    search branches on its first vertex."""
+    vertex-transitive."""
     degree: int
     generators: list[Perm]
     orbits: list[list[int]]
     canonical: Perm          # vertex -> canonical position
     nodes: int
     order: int               # |Aut|, read off the search
-    base: list[int]          # the first path, lifted through the twin levels
-    # the twin classes, the coloured quotient and its result, when there are twins
-    twin_quotient: Optional[tuple[list[list[int]], Graph, AutResult]] = \
-        field(default=None, repr=False)
+    base: list[int]          # the first path, lifted through the levels
+    # the level it lifts (see ``_lift``); None when searched or when Aut is trivial
+    level: Optional[tuple[list[list[int]], AutResult, Optional[list[AutResult]],
+                          Optional[Graph]]] = field(default=None, repr=False)
     _group: Optional[PermGroup] = field(default=None, repr=False)
 
     @property
     def group(self) -> PermGroup:
         """Base and strong generating set read off the search: ``base``, and
         ``generators`` followed by the adjacent transpositions of every twin
-        class (``_class_transpositions``), handed to ``PermGroup`` with
+        class (``_strong_extras``), handed to ``PermGroup`` with
         ``order``, which sifts only while the product of the basic orbits is
         below it.  It never is, whatever the seeds or the class sizes, so
         nothing is sifted.  Built on first use (orbits, order and canonical
         data never need it); on a vertex-transitive graph vertex 0 is the
         first base point, so the regular search uses it as it is."""
         if self._group is None:
-            self._group = PermGroup(self.degree, self.generators + _class_transpositions(self),
+            self._group = PermGroup(self.degree, self.generators + _strong_extras(self),
                                     base_prefix=self.base, order=self.order)
         return self._group
 
@@ -390,15 +393,14 @@ def _twin_quotient(graph: Graph, classes: list[list[int]]) -> tuple[Graph, list[
     return Graph(len(classes), rows, validate=False), class_of
 
 
-def _lift_quotient_perms(gens: Sequence[Perm], classes: list[list[int]]) -> list[Perm]:
-    """Quotient permutations lifted so that member k of a class goes to
-    member k of its image class."""
-    n = sum(len(members) for members in classes)
+def _lift_perms(gens: Iterable[Perm], fibres: list[list[int]], n: int) -> list[Perm]:
+    """Permutations of the fibres lifted to n points, member k of a fibre to
+    member k of its image; points in no fibre stay fixed."""
     lifted = []
     for q in gens:
-        p = [0] * n
-        for c, members in enumerate(classes):
-            for x, y in zip(members, classes[q[c]]):
+        p = list(range(n))
+        for c, members in enumerate(fibres):
+            for x, y in zip(members, fibres[q[c]]):
                 p[x] = y
         lifted.append(tuple(p))
     return lifted
@@ -413,29 +415,88 @@ def _cycles(n: int, cycles: Iterable[Sequence[int]]) -> Perm:
     return tuple(p)
 
 
-def _class_permutations(classes: list[list[int]]) -> list[Perm]:
-    """A transposition and a full cycle of each class of two or more
-    members; together they generate the symmetric group of every class."""
-    n = sum(len(members) for members in classes)
-    out = []
-    for members in classes:
-        if len(members) > 1:
-            out.append(_cycles(n, [members[:2]]))
-        if len(members) > 2:
-            out.append(_cycles(n, [members]))
+def _symmetric(m: int) -> AutResult:
+    """Sym(m) on a twin class: a transposition and a cycle, base 0..m-2."""
+    gens = [_cycles(m, [[0, 1]])] if m > 1 else []
+    gens += [_cycles(m, [list(range(m))])] if m > 2 else []
+    return AutResult(m, gens, [list(range(m))], identity_perm(m), 0, factorial(m),
+                     list(range(m - 1)))
+
+
+def _lift(fibres: list[list[int]], quotient: AutResult, parts: Optional[list[AutResult]],
+          graph: Optional[Graph]) -> AutResult:
+    """A level's result, kept in its ``level``: the quotient's group, which
+    permutes the fibres, lifted member by member, and a group on each fibre,
+    through the fibre's points.  Twin levels pass the twin classes, no
+    ``parts`` (each class gets its symmetric group) and the quotient graph;
+    part levels pass each part in canonical order, the part's result (its
+    points are its vertices in increasing order) and the first part's graph
+    when it was searched.  Orbits and canonical labelling expand fibre by
+    fibre; the base is explained in the module docstring."""
+    inner = parts or [_symmetric(len(f)) for f in fibres]
+    n = sum(map(len, fibres))
+    locs = [list(map(f.__getitem__, r.canonical)) for f, r in zip(fibres, inner)]
+    gens = _lift_perms(quotient.generators, fibres, n)
+    for loc, r in zip(locs, inner):
+        gens += _lift_perms(r.generators, [[v] for v in loc], n) if r.generators else []
+    pos = [0] * n
+    for i, v in enumerate(v for c in pinv(quotient.canonical) for v in fibres[c]):
+        pos[v] = i
+    orbits = []
+    for orbit in quotient.orbits:   # a part's points are its vertices in increasing order
+        r, loc = inner[orbit[0]], locs[orbit[0]]
+        orbits += [sorted(fibres[c][r.canonical[x]] for c in orbit for x in o) if orbit[1:]
+                   else list(map(loc.__getitem__, o)) for o in r.orbits]
+    base = [locs[c][inner[c].base[0]] if inner[c].base else fibres[c][0] for c in quotient.base]
+    in_base = set(base)
+    base += [loc[b] for loc, r in zip(locs, inner) for b in r.base if loc[b] not in in_base]
+    order = quotient.order * prod(r.order for r in inner)
+    return AutResult(n, gens, orbits, tuple(pos), quotient.nodes + sum(r.nodes for r in inner),
+                     order, base, (fibres, quotient, parts, graph) if order > 1 else None)
+
+
+def _strong_extras(result: AutResult) -> list[Perm]:
+    """The adjacent transpositions (m_i m_i+1) of every twin class at every
+    level, innermost first, walked with a stack: each point of a level
+    carries the result's points over it, so a transposition lifts to theirs,
+    paired off in fibre order."""
+    n = result.degree
+    out: list[Perm] = []
+    stack = [(result, [[v] for v in range(n)])]
+    while stack:
+        res, over = stack.pop()
+        if res.level is None:
+            continue
+        fibres, quotient, parts, _ = res.level
+        stack.append((quotient, [[v for x in f for v in over[x]] for f in fibres]))
+        if parts is not None:
+            stack += [(r, [over[f[i]] for i in r.canonical]) for f, r in zip(fibres, parts)]
+        else:
+            out[:0] = [_cycles(n, zip(over[x], over[y])) for f in fibres for x, y in zip(f, f[1:])]
     return out
 
 
-def _class_transpositions(result: AutResult) -> list[Perm]:
-    """The adjacent transpositions (m_i m_i+1) of every twin class at every
-    level of the result, an inner level's lifted member by member through
-    the levels outside it."""
-    if result.twin_quotient is None:
-        return []
-    classes, _, inner = result.twin_quotient
-    return _lift_quotient_perms(_class_transpositions(inner), classes) + \
-        [_cycles(result.degree, [members[i:i + 2]])
-         for members in classes for i in range(len(members) - 1)]
+def _parts(graph: Graph) -> Optional[list[list[int]]]:
+    """The components of the graph, else of its complement, if two or more."""
+    for g in (graph, graph.complement()):
+        parts = components(g)
+        if len(parts) > 1:
+            return parts
+    return None
+
+
+def _induced(graph: Graph, vertices: list[int]) -> Graph:
+    """The subgraph on the increasing ``vertices``, relabelled in order: each
+    row is cut into the runs of consecutive vertices, shifted into place."""
+    runs = [(run[0][1], (1 << len(run)) - 1, run[0][0]) for run in (
+        list(run) for _, run in groupby(enumerate(vertices), lambda iv: iv[1] - iv[0]))]
+    return Graph(len(vertices), [sum(((graph.rows[v] >> first) & mask) << label
+                                     for first, mask, label in runs) for v in vertices],
+                 validate=False)
+
+
+def _distinct(perms: Iterable[Perm]) -> list[Perm]:
+    return [q for q in dict.fromkeys(perms) if not is_identity(q)]
 
 
 def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
@@ -444,21 +505,14 @@ def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
     labelling.  ``seeds`` may carry already-known automorphisms.  They are
     verified (a non-automorphism raises ``ValueError``), prune the search and
     lie in the group, but they change neither the group, nor the orbits, nor
-    the canonical labelling.  They join the innermost search's generators,
-    projected to its quotient; on a graph without twins that is the graph
-    itself, so they lead ``generators``, the identity and repeats dropped.
+    the canonical labelling.
 
-    Twin classes are merged first, recursively; the search runs on the
-    coloured quotient, whose nodes ``nodes`` counts.  Each outer level is
-    built from its quotient's result alone: the quotient's generators are
-    lifted member by member and joined by a transposition and a cycle per
-    class, the order gains m! per class of size m, and the canonical
-    labelling and the orbits are expanded class by class.  The base becomes
-    the first members of the classes of the quotient's base points, in that
-    order, then all but the last member of every class, skipping points
-    already in it.  Each level's result keeps the classes, the quotient and
-    the quotient's result in ``twin_quotient``.  A graph without twins gets
-    the search's own result."""
+    The level walk of the module docstring: a forward pass splits off twin
+    and part levels, and a backward pass searches what is left, from its
+    colour cells and within what is left of ``budget`` (``nodes`` adds the
+    searches up), then lifts each level.  A part level ranks its parts by
+    canonical form (a searched part's canonical relabelling and colours, a
+    split part's ranked forms), so isomorphic parts run together."""
     gens: list[Perm] = []
     for s in seeds:
         s = tuple(s)
@@ -466,37 +520,70 @@ def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
             if not graph.is_automorphism(s):
                 raise ValueError("seed permutation is not an automorphism")
             gens.append(s)
-    levels: list[tuple[Graph, list[list[int]]]] = []
-    quotient, colours = graph, [0] * graph.n
-    while (classes := _twin_classes(quotient.rows, colours)) is not None:
-        levels.append((quotient, classes))
-        quotient, class_of = _twin_quotient(quotient, classes)
-        images = (tuple(class_of[s[members[0]]] for members in classes) for s in gens)
-        gens = [q for q in dict.fromkeys(images) if not is_identity(q)]
-        colours = [(colours[members[0]], len(members)) for members in classes]
-    cells: dict = {}
-    for v, colour in enumerate(colours):
-        cells.setdefault(colour, []).append(v)
-    result = _AutSearch(quotient, [cells[c] for c in sorted(cells)], gens, budget).run()
-    for g, classes in reversed(levels):
-        order = result.order
-        for members in classes:
-            order *= factorial(len(members))
-        pos = [0] * g.n
-        nxt = 0
-        for c in pinv(result.canonical):
-            for v in classes[c]:
-                pos[v] = nxt
-                nxt += 1
-        base = [classes[c][0] for c in result.base]
-        in_base = set(base)
-        base += [v for members in classes for v in members[:-1] if v not in in_base]
-        result = AutResult(
-            g.n, _lift_quotient_perms(result.generators, classes) + _class_permutations(classes),
-            [sorted(v for c in orbit for v in classes[c]) for orbit in result.orbits],
-            tuple(pos), result.nodes, order, base, (classes, quotient, result))
-        quotient = g
-    return result
+    # job k is a graph, its colours and its seeds; splits[k] is None when it
+    # is searched, else its fibres (parts as arrays), the twin quotient or
+    # None, and its first child job.  Only searched jobs keep their graph,
+    # and a level frees the jobs and results below it once it is lifted.
+    jobs: list = [(graph, [0] * graph.n, gens)]
+    splits: list = []
+    twin_free = False   # so are its parts: each sees all or none of the rest
+    for i, (g, colours, gens) in enumerate(jobs):   # grows while it is walked
+        classes = None if twin_free else _twin_classes(g.rows, colours)
+        twin_free = classes is None
+        if classes is not None:
+            q, class_of = _twin_quotient(g, classes)
+            splits.append((classes, q, len(jobs)))
+            jobs.append((q, [(colours[m[0]], len(m)) for m in classes],
+                         _distinct(tuple(class_of[s[m[0]]] for m in classes) for s in gens)))
+        elif (parts := _parts(g)) is not None:
+            splits.append(([array("i", part) for part in parts], None, len(jobs)))
+            for part in parts:
+                index = {v: x for x, v in enumerate(part)} if gens else {}
+                kept = (s for s in gens if all(s[v] in index for v in part))
+                jobs.append((_induced(g, part), [colours[v] for v in part],
+                             _distinct(tuple(index[s[v]] for v in part) for s in kept)))
+        else:
+            splits.append(None)
+            continue
+        jobs[i] = None
+    results: list = [None] * len(jobs)
+    keys: list = [None] * len(jobs)
+    nodes = 0
+    for i in reversed(range(len(jobs))):
+        if splits[i] is None:
+            g, colours, gens = jobs[i]
+            cells: dict = {}
+            for v, colour in enumerate(colours):
+                cells.setdefault(colour, []).append(v)
+            try:
+                results[i] = _AutSearch(g, [cells[c] for c in sorted(cells)], gens,
+                                        budget - nodes).run()
+            except BudgetExceeded:
+                raise BudgetExceeded("automorphism search", budget) from None
+            nodes += results[i].nodes
+            continue
+        fibres, q, first = splits[i]
+        if q is not None:
+            results[i] = _lift(fibres, results[first], None, q)
+            continue
+        kids = range(first, first + len(fibres))
+        for k in kids:   # (size, 0, form, colours) searched, (size, 1, ranked keys) split
+            if keys[k] is None:
+                g, colours, _ = jobs[k]
+                c = results[k].canonical
+                keys[k] = (g.n, 0, tuple(g.relabel(c).rows), tuple(colours[v] for v in pinv(c)))
+        ranked = sorted(kids, key=keys.__getitem__)
+        parts = [results[k] for k in kids]
+        keys[i] = (sum(r.degree for r in parts), 1, tuple(keys[k] for k in ranked))
+        runs = [[k - first for k in same] for _, same in groupby(ranked, keys.__getitem__)]
+        distinct = AutResult(len(runs), [], [[c] for c in range(len(runs))],
+                             identity_perm(len(runs)), 0, 1, [])
+        first_graph = jobs[first] and jobs[first][0]
+        jobs[first:first + len(parts)] = results[first:first + len(parts)] = [None] * len(parts)
+        results[i] = _lift([list(map(part.__getitem__, pinv(r.canonical)))
+                            for part, r in zip(fibres, parts)],
+                           _lift(runs, distinct, None, None), parts, first_graph)
+    return results[0]
 
 
 def is_vertex_transitive(graph: Graph,
@@ -695,37 +782,12 @@ def _bfs_vertex_order(graph: Graph) -> list[int]:
     return order
 
 
-def _copy_level(graph: Graph, aut: AutResult,
-                ir_budget: int) -> Optional[tuple[list[list[int]], Graph, AutResult]]:
-    """The graph as m copies of one graph Z when it or its complement is
-    disconnected (at most one of the two is): the fibres, Z and Z's result,
-    as in ``AutResult.twin_quotient``; else None.  Z is the copy of vertex 0,
-    relabelled 0, 1, ... in vertex order and searched within ``ir_budget``.
-    Fibre v holds the image of Z's vertex v in every copy, each copy reached
-    through the element of Aut carrying vertex 0 to its first vertex, an
-    automorphism that maps the first copy onto it."""
-    for g in (graph, graph.complement()):
-        parts = components(g)
-        if len(parts) > 1:
-            break
-    else:
-        return None
-    first = parts[0]
-    index = {v: i for i, v in enumerate(first)}
-    keep = mask_of(first)
-    copy = Graph(len(first), [mask_of(index[u] for u in elements_of(graph.rows[v] & keep))
-                              for v in first], validate=False)
-    transversal = _transversal_of_0(aut.generators, graph.n)
-    maps = [transversal[part[0]] for part in parts]
-    return [[t[v] for t in maps] for v in first], copy, automorphism_group(copy, budget=ir_budget)
-
-
 def _lift_fibres(gens: Sequence[Perm], fibres: list[list[int]]) -> list[Perm]:
     """Generators of R x Z_m on a graph made of m-member fibres, from
     generators of R on the graph they lie over: each lifted member by
     member, and one cyclic shift of every fibre."""
-    shift = _cycles(sum(len(fibre) for fibre in fibres), fibres)
-    return _lift_quotient_perms(gens, fibres) + [shift]
+    n = sum(map(len, fibres))
+    return _lift_perms(gens, fibres, n) + [_cycles(n, fibres)]
 
 
 def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
@@ -738,17 +800,15 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     vertex-transitivity (intransitive means NonCayley); then, when provenance
     hints are present, the part-swap certificate (the right translations and
     a part-swapping map whose square is a translation); else the regular
-    stage, one recursion over fibre levels.  A level sees the graph as m
-    fibres over a smaller graph Z and comes with Z's automorphism result.  It
-    is a copy level when the graph or its complement is disconnected: m
-    copies of Z, the copy of vertex 0, searched within ``ir_budget`` (its
-    nodes count).  Else it is the twin level of the graph's own search,
-    ``AutResult.twin_quotient`` (no second search, no second count).  Both
-    are lexicographic products with E_m or K_m, so a regular group R of Z
-    lifts to R x Z_m, member by member with a cyclic shift of every fibre.
-    The recursion runs on Z and lifts what it finds; with no level left,
+    stage, one recursion over the levels of that search's result, with no
+    second search.  A level sees the graph as m-member fibres over a smaller
+    graph Z: a twin level over its quotient; a part level, whose parts are
+    isomorphic on a vertex-transitive graph, over its first part, each fibre
+    running through the m copies.  Both are lexicographic products with E_m
+    or K_m, so a regular group R of Z lifts to R x Z_m, member by member
+    with a cyclic shift of every fibre.  With no level left,
     ``regular_subgroup_search`` runs in Aut of the graph.  Copies are Cayley
-    exactly when Z is, so a copy level returns Z's answer; twins are Cayley
+    exactly when Z is, so a part level returns Z's answer; twins are Cayley
     when Z is but not only then (Petersen[E2]), so a twin level whose Z
     yields no regular group searches its own graph.
 
@@ -773,14 +833,15 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
         nonlocal nodes
         if len(z_aut.orbits) > 1:
             raise RuntimeError("a reduction of a vertex-transitive graph is intransitive")
-        copies = _copy_level(z, z_aut, ir_budget)
-        nodes += copies[2].nodes if copies else 0
-        if (level := copies or z_aut.twin_quotient) is not None:
-            fibres, y, y_aut = level
+        if z_aut.level is not None:
+            fibres, quotient, parts, y = z_aut.level
+            y_aut = quotient if parts is None else parts[0]
+            if parts is not None:   # copies of the first part: fibres run across them
+                fibres = [[f[t] for f in fibres] for t in y_aut.canonical]
             gens, exhausted = regular(y, y_aut)
             if gens is not None:
                 return _lift_fibres(gens, fibres), True
-            if copies:
+            if parts is not None:
                 return None, exhausted
         outcome = regular_subgroup_search(z, z_aut, regular_budget)
         nodes += outcome.nodes

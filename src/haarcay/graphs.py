@@ -242,24 +242,22 @@ def lex_product(g1: Graph, g2: Graph) -> Graph:
 
 
 def components(g: Graph) -> list[list[int]]:
-    seen = 0
-    out = []
-    for start in range(g.n):
-        if (seen >> start) & 1:
-            continue
-        comp = 1 << start
-        frontier = g.rows[start] & ~comp
+    """The connected components, each in increasing order, ordered by their
+    least vertex: a breadth-first walk from the least vertex not yet
+    reached, which reads each vertex's row once."""
+    out, left = [], (1 << g.n) - 1
+    while left:
+        frontier = left & -left
+        left ^= frontier
+        comp = []
         while frontier:
-            comp |= frontier
-            nxt = 0
-            w = frontier
-            while w:
-                low = w & -w
-                nxt |= g.rows[low.bit_length() - 1]
-                w ^= low
-            frontier = nxt & ~comp
-        seen |= comp
-        out.append(elements_of(comp))
+            low = frontier & -frontier
+            frontier ^= low
+            comp.append(low.bit_length() - 1)
+            reached = left & g.rows[comp[-1]]
+            left ^= reached
+            frontier |= reached
+        out.append(sorted(comp))
     return out
 
 

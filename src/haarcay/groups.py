@@ -421,15 +421,15 @@ def inner_automorphism(H: GroupTable, y: int) -> AutImages:
 
 
 def is_inner_abelian(H: GroupTable) -> bool:
-    """Non-abelian, but every proper subgroup abelian: equivalently every
-    non-commuting pair generates the whole group."""
-    full = (1 << H.order) - 1
+    """Non-abelian, but every proper subgroup abelian: every non-commuting
+    pair generates the whole group, which (Lagrange) a subgroup of more than
+    half the elements is, so each closure stops at half."""
     nonabelian = False
     for x in range(1, H.order):
         for y in range(x + 1, H.order):
             if H.mult[x][y] != H.mult[y][x]:
                 nonabelian = True
-                if subgroup_generated(H, (1 << x) | (1 << y)) != full:
+                if _generated((x, y), 0, H.mul, cap=H.order // 2) is not None:
                     return False
     return nonabelian
 
@@ -727,18 +727,6 @@ def miller_moreno_group(p: int, n: int, q: int, m: int,
 _DEFAULT_LABELS = ("x", "y", "z", "u", "v", "w")
 
 
-def _parse_word(word: str, labels: Sequence[str]) -> list[int]:
-    """Signed generator indices; uppercase letters mean inverses."""
-    out = []
-    for ch in word:
-        low = ch.lower()
-        if low not in labels:
-            raise GroupConstructionError(f"unknown generator letter {ch!r} in relator {word!r}")
-        idx = labels.index(low)
-        out.append(idx + 1 if ch.islower() else -(idx + 1))
-    return out
-
-
 def presented_group(ngens: int, relators: Sequence[str],
                     labels: Optional[Sequence[str]] = None) -> GroupTable:
     """Realize an abelian-by-cyclic presentation directly.
@@ -755,7 +743,11 @@ def presented_group(ngens: int, relators: Sequence[str],
     labels = tuple(labels) if labels is not None else _DEFAULT_LABELS[:ngens]
     if len(labels) != ngens or len(set(labels)) != ngens:
         raise GroupConstructionError("labels must be distinct, one per generator")
-    words = [(_parse_word(w, labels), w) for w in relators]
+    words = [(w, list(_word_tokens(w, labels))) for w in relators]
+    if any(abs(e) > TABLE_ORDER_CAP for _, tokens in words for _, e in tokens):
+        raise GroupConstructionError(f"a relator exponent passes {TABLE_ORDER_CAP}")
+    words = [([s for i, e in tokens for s in [i + 1 if e > 0 else -i - 1] * abs(e)], w)
+             for w, tokens in words]
 
     orders = [0] * ngens
     commuting: set[tuple[int, int]] = set()
@@ -921,25 +913,33 @@ def group_from_name(name: str) -> GroupTable:
 _EXPONENT_RE = re.compile(r"(-?\d+)?")
 
 
-def evaluate_word(H: GroupTable, word: str) -> int:
-    """Evaluate a word like 'a-1b2', 'xyz' or 'a1a2-1' over the group's named
-    generators: at each position the longest generator label, then an
-    optional signed exponent; '1' denotes the identity."""
-    word = word.strip()
-    if word == "1":
-        return 0
+def _word_tokens(word: str, labels: Sequence[str]) -> Iterator[tuple[int, int]]:
+    """(generator index, exponent) for each factor of a word over ``labels``,
+    the one grammar of connection sets and relators: at each position the
+    longest label, or the uppercase form of a label that is not itself a
+    label (its inverse), then an optional signed exponent."""
+    forms = {label: (i, 1) for i, label in enumerate(labels) if label}
+    for label, (i, _) in list(forms.items()):
+        forms.setdefault(label.upper(), (i, -1))
+    longest_first = sorted(forms, key=len, reverse=True)
     pos = 0
-    acc = 0
-    gens = dict(H.gens)
-    labels = sorted((lbl for lbl in gens if lbl), key=len, reverse=True)
     while pos < len(word):
-        label = next((lbl for lbl in labels if word.startswith(lbl, pos)), None)
-        if label is None:
-            raise ValueError(f"cannot parse word {word!r} at {pos} over generators {sorted(gens)}")
-        m = _EXPONENT_RE.match(word, pos + len(label))
-        exp = int(m.group(1)) if m.group(1) else 1
-        acc = H.mult[acc][H.power(gens[label], exp)]
+        form = next((f for f in longest_first if word.startswith(f, pos)), None)
+        if form is None:
+            raise GroupConstructionError(
+                f"cannot parse word {word!r} at {pos} over generators {sorted(labels)}")
+        m = _EXPONENT_RE.match(word, pos + len(form))
+        yield forms[form][0], forms[form][1] * int(m.group(1) or 1)
         pos = m.end()
+
+
+def evaluate_word(H: GroupTable, word: str) -> int:
+    """Evaluate a word like 'a-1b2', 'xyz', 'Ab' or 'a1a2-1' over the
+    group's named generators (``_word_tokens``); '1' denotes the identity."""
+    word = word.strip()
+    acc = 0
+    for i, e in _word_tokens("" if word == "1" else word, [label for label, _ in H.gens]):
+        acc = H.mult[acc][H.power(H.gens[i][1], e)]
     return acc
 
 

@@ -376,6 +376,16 @@ def reference_subgroup_generated(H: GroupTable, mask: int) -> int:
     return closed
 
 
+def uncapped_is_inner_abelian(H: GroupTable) -> bool:
+    """Inner-abelian by closing every non-commuting pair to the end with the
+    pairwise closure: each must generate the whole group."""
+    full = (1 << H.order) - 1
+    pairs = [(x, y) for x in range(H.order) for y in range(x + 1, H.order)
+             if H.mult[x][y] != H.mult[y][x]]
+    return bool(pairs) and all(reference_subgroup_generated(H, (1 << x) | (1 << y)) == full
+                               for x, y in pairs)
+
+
 def reference_closed_with(elems, g, reject, cap):
     """The regular search's closure of a group's elements with one more
     permutation: None once ``reject`` holds for an element or the size

@@ -366,6 +366,17 @@ def test_cayley_status_runs_one_automorphism_search(monkeypatch):
     cert = cayley_status(g, hints=BiCayleyHints(H, S))
     assert cert.verdict == "cayley" and cert.swap_witness is None
     assert len(calls) == 1
+    # copies and co-copies: the parts are levels of the one search, which
+    # searches each Petersen graph apart and never a graph of 30 vertices
+    runs = []
+    run = _AutSearch.run
+    monkeypatch.setattr(_AutSearch, "run", lambda self: runs.append(self.n) or run(self))
+    three = disjoint_union([petersen()] * 3)
+    for g in (three, three.complement()):
+        calls.clear()
+        runs.clear()
+        assert cayley_status(g).verdict == "non_cayley"
+        assert len(calls) == 1 and runs == [10] * 3
 
 
 def test_cayley_status_rejects_hints_of_another_graph():
@@ -396,11 +407,11 @@ def test_generic_cayley_status_perm_group_builds(monkeypatch):
     """C24 and its complement are connected, so it builds Aut and the point
     stabilizer: the regular search reuses Aut's BSGS, whose base already
     starts at vertex 0, and hands back the generators it found without a
-    group.  K4,4 (complement 2K4, one part is E4, which is 4K1) and 4C6 are
-    decided on one copy: the search runs there, and each reduction level's
-    copies become fibres through a Schreier tree over its Aut generators,
-    not through a BSGS.  On K4,4's one-vertex quotient |Aut| is the degree,
-    so Aut's generators are the answer and no group is built at all.  The
+    group.  K4,4 reduces by twin levels to one vertex, and 4C6 by a part
+    level to one C6, where the regular search runs; each level's fibres come
+    from the levels the search kept, not from a BSGS.  On K4,4's one-vertex
+    quotient |Aut| is the degree, so Aut's generators are the answer and no
+    group is built at all.  The
     lifted generators are checked at the Cayley exit by their closure, so
     no group is built on the whole graph."""
     built = _count_perm_group_builds(monkeypatch)
@@ -445,7 +456,8 @@ def test_the_cayley_exit_refuses_a_non_regular_group_from_each_source(monkeypatc
         with pytest.raises(RuntimeError, match="not a regular group"):
             cayley_status(g, BiCayleyHints(Q8, S))
     with monkeypatch.context() as m:
-        m.setattr(automorphisms, "_lift_fibres", automorphisms._lift_quotient_perms)
+        m.setattr(automorphisms, "_lift_fibres", lambda gens, fibres: automorphisms._lift_perms(
+            gens, fibres, sum(map(len, fibres))))
         with pytest.raises(RuntimeError, match="not a regular group"):
             cayley_status(disjoint_union([cycle_graph(6)] * 4))
     with monkeypatch.context() as m:
@@ -848,6 +860,17 @@ def test_refinement_agrees_with_the_reference(data):
         sorted(map(sorted, _refine(g.rows, child, [1 << v, mask_of(rest)])))
 
 
+def _levels(res):
+    """The level of every result that ``res`` was built from, itself
+    included, walked with a stack: (fibres, quotient, parts, graph)."""
+    stack = [res]
+    while stack:
+        r = stack.pop()
+        if r.level is not None:
+            yield r.level
+            stack += [r.level[1]] + (r.level[2] or [])
+
+
 def _sift_free(res):
     """Whether ``res.group`` is built without a single sift."""
     sifts = []
@@ -878,10 +901,8 @@ def test_group_is_the_bsgs_read_off_the_search():
     big_classes = 0
     for g, seeds in inputs:
         res = automorphism_group(g, seeds)
-        largest, level = 1, res
-        while level.twin_quotient is not None:
-            classes, _, level = level.twin_quotient
-            largest = max(largest, *map(len, classes))
+        largest = max([1] + [len(members) for fibres, _, parts, _ in _levels(res)
+                             if parts is None for members in fibres])
         assert _sift_free(res), g
         group = res.group
         assert group.base == res.base and group.order == res.order, g
@@ -947,8 +968,9 @@ def test_nested_twin_levels_give_a_complete_bsgs():
                 q = tuple(rng.sample(range(g.n), g.n))
             assert not group.contains(q), x
         compact, level = 0, res
-        while level.twin_quotient is not None:
-            classes, _, level = level.twin_quotient
+        while level.level is not None:
+            classes, level, parts, _ = level.level
+            assert parts is None, x
             compact += sum(min(len(members) - 1, 2) for members in classes)
         assert len(res.generators) == compact + len(level.generators), x
     assert len(automorphism_group(empty_graph(2000)).generators) == 2
@@ -1022,6 +1044,98 @@ def test_hinted_seeds_survive_the_twin_quotient():
     assert checked > 10
 
 
+def _haar_part(H, S):
+    return haar_graph(H, S)[0]
+
+
+@st.composite
+def _unions(draw):
+    """A disjoint union of 1-3 kinds of part, each repeated 1-3 times: Haar
+    graphs over catalog groups of order up to 4 (some with twins, some
+    disconnected) and cycles of length 3-6 (C4 has twins)."""
+    kinds = draw(st.lists(st.one_of(
+        st.builds(cycle_graph, st.integers(3, 6)),
+        st.sampled_from(constructor_catalog(4)).flatmap(
+            lambda H: st.builds(_haar_part, st.just(H), st.integers(0, (1 << H.order) - 1)))),
+        min_size=1, max_size=3))
+    return disjoint_union([x for x in kinds for _ in range(draw(st.integers(1, 3)))])
+
+
+def _sympy_order(res) -> int:
+    """sympy's order of ``res.generators``, by Schreier-Sims from the
+    search's base, which it extends if need be."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+    from sympy.combinatorics.util import _distribute_gens_by_base, _orbits_transversals_from_bsgs
+
+    if not res.generators:
+        return 1
+    sym = PermutationGroup([Permutation(list(p)) for p in res.generators])
+    base, strong = sym.schreier_sims_incremental(base=res.base)
+    orbits, _ = _orbits_transversals_from_bsgs(base, _distribute_gens_by_base(base, strong))
+    return math.prod(map(len, orbits))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(union=_unions(), data=st.data())
+def test_part_levels_give_the_group_of_the_whole_graph(union, data):
+    """Relabelled disjoint unions of catalog Haar graphs and cycles, with
+    repeated parts, distinct parts and parts with twins, and their
+    complements: the order is sympy's order of the generators, the orbits
+    are those of ``group``, which sifts nothing, two relabellings are
+    isomorphic by ``are_isomorphic``, and a search seeded with automorphisms
+    gives the unseeded order, orbits and canonical labelling."""
+    for x in (union, union.complement()):
+        g, h = (x.relabel(data.draw(st.permutations(range(x.n)))) for _ in range(2))
+        res = automorphism_group(g)
+        assert all(g.is_automorphism(p) for p in res.generators)
+        assert res.order == _sympy_order(res)
+        assert _sift_free(res) and sorted(res.orbits) == sorted(res.group.orbits())
+        mapping = are_isomorphic(g, h)
+        assert mapping is not None and g.relabel(mapping) == h
+        seeds = [pmul(p, q) for p, q in zip(res.generators, res.generators[1:])]
+        seeded = automorphism_group(g, seeds + res.generators[:2])
+        assert seeded.order == res.order and seeded.canonical == res.canonical
+        assert sorted(seeded.orbits) == sorted(res.orbits)
+
+
+@pytest.mark.parametrize("part, copies", [(cycle_graph(5), 50), (petersen(), 20)])
+def test_copies_are_searched_one_part_at_a_time(part, copies):
+    """50 C5 and 20 Petersen graphs, relabelled: one search per copy, so the
+    nodes are the copies' nodes added up, |Aut| = |Aut(part)|^k k!, and the
+    group sifts nothing.  Five copies, where sympy is quick, agree with
+    sympy's order of the generators."""
+    one = automorphism_group(part)
+    for k in (5, copies):
+        x = disjoint_union([part] * k)
+        perm = list(range(x.n))
+        random.Random(k).shuffle(perm)
+        res = automorphism_group(x.relabel(perm))
+        assert res.nodes == k * one.nodes and len(res.orbits) == 1
+        assert res.order == one.order ** k * math.factorial(k)
+        assert _sift_free(res) and res.group.order == res.order
+        assert k > 5 or _sympy_order(res) == res.order
+
+
+def test_deep_part_nesting_returns(monkeypatch):
+    """The threshold graph on 1,500 vertices (K1, then 1,499 times the
+    disjoint union with K1, complemented) nests part levels once per
+    vertex; the walk keeps no Python frame per level, so the status and its
+    one automorphism search return, without ``RecursionError``.  Below the
+    one twin pair, every level's group is trivial, so no level is kept."""
+    g = Graph(1)
+    for _ in range(1499):
+        g = Graph(g.n + 1, g.rows + [0], validate=False).complement()
+    found = []
+    search = automorphisms.automorphism_group
+    monkeypatch.setattr(automorphisms, "automorphism_group",
+                        lambda *args, **kwargs: found.append(search(*args, **kwargs)) or found[-1])
+    cert = cayley_status(g)
+    assert cert.verdict == "non_cayley" and len(cert.orbit_partition) == 1499
+    res, = found
+    assert res.order == 2 and res.nodes == cert.nodes == 1499
+    assert res.level is not None and res.level[1].level is None
+
+
 def test_generic_status_lifts_a_twin_quotient():
     """C5[E4] has twin classes of 4 over C5: Z5 on C5 lifts to Z5 x Z4.
     Searching the whole graph took millions of regular-search nodes."""
@@ -1041,10 +1155,10 @@ def test_generic_status_searches_the_twin_quotient_once(monkeypatch):
     monkeypatch.setattr(_AutSearch, "run",
                         lambda self: runs.append(self.n) or run(self))
     aut = automorphism_group(g)
-    assert runs == [5] and aut.twin_quotient is not None
+    assert runs == [5] and aut.level is not None
     cert = cayley_status(g)
     assert runs == [5, 5] and cert.verdict == "cayley"
-    _, quotient, quotient_aut = aut.twin_quotient
+    _, quotient_aut, _, quotient = aut.level
     regular = regular_subgroup_search(quotient, quotient_aut)
     assert cert.nodes == aut.nodes + regular.nodes
 
@@ -1063,19 +1177,22 @@ def test_twin_lift_relabels_no_whole_graph(monkeypatch):
 
 
 @pytest.mark.parametrize("graph, nodes, generators", [
-    (complete_bipartite(4, 4), 3,
-     [(1, 2, 3, 0, 5, 6, 7, 4), (4, 5, 6, 7, 0, 1, 2, 3)]),
-    (disjoint_union([lex_product(cycle_graph(5), empty_graph(2))] * 2), 30,
+    (complete_bipartite(4, 4), 1,
+     [(4, 5, 6, 7, 0, 1, 2, 3), (1, 2, 3, 0, 5, 6, 7, 4)]),
+    (disjoint_union([lex_product(cycle_graph(5), empty_graph(2))] * 2), 17,
      [(2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 12, 13, 14, 15, 16, 17, 18, 19, 10, 11),
-      (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14, 17, 16, 19, 18),
-      (10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)]),
-    (disjoint_union([cycle_graph(4)] * 3).complement(), 4,
-     [(2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9), (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10),
-      (4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2, 3)]),
+      (10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+      (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14, 17, 16, 19, 18)]),
+    (disjoint_union([cycle_graph(4)] * 3).complement(), 1,
+     [(4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2, 3), (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10),
+      (2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9)]),
 ], ids=["k44-copies-then-twins", "2c5e2-copies-then-twins", "3c4-complement-three-copy-levels"])
 def test_generic_status_pins_lifts_through_reduction_chains(graph, nodes, generators):
-    """Generic certificates through chains of copy and twin levels, pinned:
-    any change to the order of the lift shows here."""
+    """Generic certificates through chains of part and twin levels, pinned:
+    any change to the order of the lift shows here.  K4,4 and the
+    complement of 3C4 reduce by twin levels alone, down to one vertex, so
+    the only search is the one-node search there; 2C5[E2] is a twin level
+    over 2C5, a part level over C5, whose regular search adds its nodes."""
     cert = cayley_status(graph)
     assert cert.verdict == "cayley" and verify_certificate(graph, cert)
     assert cert.nodes == nodes and cert.regular_generators == generators

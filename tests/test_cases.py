@@ -42,7 +42,12 @@ from haarcay.groups import (
     subgroup_generated,
 )
 
-from oracles import all_subgroups, reference_class, reference_class_representatives
+from oracles import (
+    all_subgroups,
+    reference_class,
+    reference_class_representatives,
+    uncapped_is_inner_abelian,
+)
 
 
 def _cli_env() -> dict:
@@ -397,6 +402,16 @@ def test_inner_abelian_scan_small():
     assert inner_abelian_scan(5) == []  # only abelian groups that small
 
 
+def test_capped_inner_abelian_test_agrees_with_the_uncapped_closure():
+    """``is_inner_abelian`` stops each pair closure past half the group;
+    closing every non-commuting pair to the end answers the same on every
+    catalog group up to order 48."""
+    groups = constructor_catalog(48)
+    assert len(groups) > 50
+    for H in groups:
+        assert is_inner_abelian(H) == uncapped_is_inner_abelian(H), H.tag
+
+
 def test_inner_abelian_scan_includes_order_27():
     rows = inner_abelian_scan(27)
     assert any(r["tag"] == "MpMN1(3,1,1)" for r in rows)
@@ -531,6 +546,23 @@ def test_cli_words_over_direct_product_labels(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "12 12"
 
 
+def test_cli_relators_over_uppercase_and_multi_letter_labels(capsys):
+    """Relators and connection sets share one word grammar: a label is read
+    whole, uppercase or several letters long, and a label's uppercase form
+    is its inverse only where that is not itself a label."""
+    from haarcay.cli import main
+    for labels, relators, order in ((["X"], ["XX"], 2), (["ab"], ["abab"], 2),
+                                    (["ab", "c"], ["ab3", "cc", "CabcAB"], 6)):
+        spec = {"family": "Presented", "ngens": len(labels), "labels": labels,
+                "relators": relators}
+        assert main(["build-group", json.dumps(spec)]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == order
+    assert main(["build-group", '{"family":"Presented","ngens":1,"relators":["x2000"]}']) == 2
+    assert "exponent" in capsys.readouterr().err
+    assert connection_set(quaternion_group(), "I,j-1") == connection_set(quaternion_group(),
+                                                                         "i-1,J")
+
+
 def test_cli_reproduce_without_arguments_lists_cases(capsys):
     from haarcay.cli import main
     assert main(["reproduce"]) == 2
@@ -598,8 +630,8 @@ def _family_specs(draw, depth=0):
     keys = [k for k in _SPEC_KEYS.get(family, ()) if draw(st.integers(0, 9))]
     if draw(st.integers(0, 9)) == 0:
         keys.append(draw(st.sampled_from(_ANY_KEY)))
-    right = {"relators": st.lists(st.text("xyzXY", max_size=5), max_size=4),
-             "labels": st.lists(st.text("xyzuvwX", max_size=2), max_size=4),
+    right = {"relators": st.lists(st.text("xyzXYab1-", max_size=5), max_size=4),
+             "labels": st.lists(st.text("xyzuvwXYab", max_size=2), max_size=4),
              "matrix": st.lists(st.lists(_SMALL, max_size=3), max_size=3),
              "factors": st.lists(_family_specs(depth + 1), max_size=2) if depth < 2 else st.just([])}
     spec = {} if family is None else {"family": family}

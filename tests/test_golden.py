@@ -32,9 +32,9 @@ from haarcay.groups import connection_set, group_from_spec
 from haarcay.perms import BudgetExceeded
 
 GOLDEN = {
-    "reproduce": "f5d3afeb27391340649242580958a7454940812e088d6285da3a23a39fd27458",
-    "hinted": "e075740da01b8ae73f976d30e0f40104f83774436b42af869c5465f98e9a6cdf",
-    "generic": "7a695bf5b0d83080c3e41bf7caa64d1f049ab7994d447b00a60ba4dee1d68746",
+    "reproduce": "03a279ec6d6fa77fdad6274cf5e732635ee8edab0c23eb13d79436421c33502e",
+    "hinted": "a0087f4b6596ba1ace0763f5eecb643df711df353ce3e3c2cb6b4d2ca10ffd2c",
+    "generic": "eb85081ee051e41b73cdc8583424d2186978370e00662f995aa1c22d764f5d01",
 }
 
 
@@ -80,10 +80,11 @@ def _generic_graphs():
     """(name, graph, whether generic status runs): complete bipartite graphs,
     K6,6 and K8,8 minus a matching, empty graphs, the catalog's intransitive
     Haar graphs (but m2221-not-vt, whose search is slow) and their [E2]
-    blow-ups up to order 14, Petersen, C24, 4C6 and 3C8; then K8,8 minus a
-    matching under the relabellings ``random.Random(s).shuffle``, s < 16.
-    Generic status runs up to 24 vertices (not on K10,10) and on Petersen
-    and the cycles."""
+    blow-ups up to order 14, Petersen, C24, 4C6, 3C8, 50C5 and 20 Petersens
+    (one part level over many isomorphic parts); then K8,8 minus a matching
+    under the relabellings ``random.Random(s).shuffle``, s < 16.  Generic
+    status runs up to 24 vertices (not on K10,10), on Petersen, the cycles
+    and the copies."""
     base = [(f"K{n},{n}", complete_bipartite(n, n)) for n in (6, 8, 10)]
     base += [(f"K{n},{n}-M", _minus_matching(n)) for n in (6, 8)]
     base += [(f"E{n}", empty_graph(n)) for n in (8, 12)]
@@ -99,7 +100,9 @@ def _generic_graphs():
                                 [(5 + i, 5 + (i + 2) % 5) for i in range(5)] +
                                 [(i, i + 5) for i in range(5)])
     cycles = [("C24", cycle_graph(24)), ("4C6", disjoint_union([cycle_graph(6)] * 4)),
-              ("3C8", disjoint_union([cycle_graph(8)] * 3))]
+              ("3C8", disjoint_union([cycle_graph(8)] * 3)),
+              ("50C5", disjoint_union([cycle_graph(5)] * 50)),
+              ("20petersen", disjoint_union([petersen] * 20))]
     for name, graph in base:
         yield name, graph, graph.n <= 24 and name != "K10,10"
     for name, graph in [("petersen", petersen)] + cycles:
