@@ -78,7 +78,7 @@ from .bicayley import (
     right_translation_group_perms,
 )
 from .graphs import Graph, components, haar_graph
-from .groups import _dimino_closure, _generated, elements_of, mask_of
+from .groups import AutomorphismCapExceeded, _dimino_closure, _generated, elements_of, mask_of
 from .perms import (BudgetExceeded, Perm, PermGroup, _OrbitCache, _schreier_tree, identity_perm,
                     is_identity, pinv, pmul)
 
@@ -799,12 +799,14 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     Three stages: one automorphism search, whose orbits decide
     vertex-transitivity (intransitive means NonCayley); then, when provenance
     hints are present, the part-swap certificate (the right translations and
-    a part-swapping map whose square is a translation); else the regular
-    stage, one recursion over the levels of that search's result, with no
-    second search.  A level sees the graph as m-member fibres over a smaller
-    graph Z: a twin level over its quotient; a part level, whose parts are
-    isomorphic on a vertex-transitive graph, over its first part, each fibre
-    running through the m copies.  Both are lexicographic products with E_m
+    a part-swapping map whose square is a translation); without one (no
+    hints, no usable swap, or a group whose automorphisms are over the caps
+    of ``group_automorphisms``) the regular stage, one recursion over the
+    levels of that search's result, with no second search.  A level sees
+    the graph as m-member fibres over a smaller graph Z: a twin level over
+    its quotient; a part level, whose parts are isomorphic on a
+    vertex-transitive graph, over its first part, each fibre running
+    through the m copies.  Both are lexicographic products with E_m
     or K_m, so a regular group R of Z lifts to R x Z_m, member by member
     with a cyclic shift of every fibre.  With no level left,
     ``regular_subgroup_search`` runs in Aut of the graph.  Copies are Cayley
@@ -853,7 +855,10 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
         if len(aut.orbits) > 1:
             cert = Certificate("non_cayley", orbit_partition=aut.orbits)
         else:
-            swap = hints and cayley_certificate_from_swaps(hints.table, hints.spokes)
+            try:
+                swap = hints and cayley_certificate_from_swaps(hints.table, hints.spokes)
+            except AutomorphismCapExceeded:     # no Aut(H) to draw a swap from
+                swap = None
             gens, exhausted = (swap[0], True) if swap else regular(graph, aut)
             if gens is not None:
                 if not (all(graph.is_automorphism(p) for p in gens)

@@ -285,10 +285,12 @@ def read_edge_list(text: str) -> Graph:
             u, v = map(int, ln.split())
             if g is None:
                 g, m = Graph(u), v
-            elif 0 <= u < g.n and 0 <= v < g.n:
-                g.add_edge(u, v)
-            else:
+            elif not (0 <= u < g.n and 0 <= v < g.n):
                 raise ValueError(f"vertex outside 0..{g.n - 1}")
+            elif g.rows[u] >> v & 1:
+                raise ValueError(f"repeated edge {u} {v}")
+            else:
+                g.add_edge(u, v)
         except ValueError as exc:
             raise ValueError(f"edge list line {i} {ln!r}: {exc}") from None
     if g.edge_count() != m:

@@ -26,6 +26,11 @@ class GroupConstructionError(ValueError):
     """A family constraint or presentation relator was violated."""
 
 
+class AutomorphismCapExceeded(ValueError):
+    """``group_automorphisms`` refused a group: its table, or its list of
+    automorphisms, is over the cap."""
+
+
 class GroupTable:
     """A finite group given by its full multiplication table.
 
@@ -391,12 +396,12 @@ def group_automorphisms(H: GroupTable) -> list[AutImages]:
     if H._aut_cache is not None:
         return list(H._aut_cache)
     if H.order > AUT_TABLE_CAP:
-        raise ValueError(f"automorphism search capped at order {AUT_TABLE_CAP}")
+        raise AutomorphismCapExceeded(f"automorphism search capped at order {AUT_TABLE_CAP}")
     found: list[AutImages] = []
     for images in _isomorphisms(H, H):
         found.append(images)
         if len(found) > AUT_SIZE_CAP:
-            raise ValueError("automorphism group larger than cap")
+            raise AutomorphismCapExceeded("automorphism group larger than cap")
     found.sort()
     H._aut_cache = found
     return list(found)

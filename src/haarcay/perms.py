@@ -6,18 +6,15 @@ breadth-first search with generators in a fixed order, and no randomization
 is used anywhere, so identical generator lists always produce identical
 bases, transversals and certificates.
 
-It never redoes a sift.  Each level keeps a cursor over its Schreier pairs
-(beta, g), taken in sorted-beta order; coming back to a level whose
-generators have not changed, the construction resumes after the pair that
-last gave a new strong generator instead of at the first beta, since the
-pairs before it still sift to the identity through the grown deeper levels.
-Rebuilding a level's transversal resets its cursor.  Each level also stores
-the inverse of every transversal element, so sifting inverts nothing, and a
-pair with t_beta g = t_(beta g) is the identity and is not sifted at all.
-The base, the level generators and the transversals (in insertion order) are
-exactly those of the construction that re-sifts every pair, so ``elements``
-and everything built on it keep their order (Holt, Eick & O'Brien, Handbook
-of Computational Group Theory, 2005, ch. 4).
+Each level stores the inverse of every transversal element and of every
+generator (taken once, when the generator enters the group), so sifting
+inverts nothing.  A Schreier pair with t_beta g = t_(beta g) is the identity
+and is not sifted; every other pair is, from the first on each visit to its
+level.  Only pairs that would sift to the identity are skipped, so the same
+strong generators are added in the same order as by the construction that
+re-sifts every pair, and the base, the level generators, the transversals
+(in insertion order) and ``elements`` are exactly those it builds (Holt,
+Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
 
 When the group order is known in advance (``order=``), the construction
 stops as soon as the product of the transversal sizes reaches it.  That
@@ -130,19 +127,17 @@ class _OrbitCache:
 
 
 class _Level:
-    """One base point with its strong generators, its orbit transversal, the
-    inverse of every transversal element, the sorted orbit and a cursor: the
-    index, in (beta, generator) order, of the next Schreier pair to sift."""
+    """One base point with its strong generators as (generator, inverse)
+    pairs, its orbit transversal and the inverse of every transversal
+    element."""
 
-    __slots__ = ("point", "gens", "transversal", "inverses", "orbit", "cursor")
+    __slots__ = ("point", "gens", "transversal", "inverses")
 
     def __init__(self, point: int):
         self.point = point
-        self.gens: list[Perm] = []
+        self.gens: list[tuple[Perm, Perm]] = []
         self.transversal: dict[int, Perm] = {}
         self.inverses: dict[int, Perm] = {}
-        self.orbit: list[int] = []
-        self.cursor = 0
 
 
 class PermGroup:
@@ -164,7 +159,6 @@ class PermGroup:
                 gens.append(g)
         self.generators: list[Perm] = gens
         self._levels: list[_Level] = []
-        self._gen_inverses: dict[Perm, Perm] = {}
         self._build(base_prefix, order)
         if order is not None and self.order != order:
             raise ValueError(f"group order {self.order} differs from the order {order} given")
@@ -179,11 +173,11 @@ class PermGroup:
         # level i's generators are those fixing the base points before it,
         # in the order of ``generators``: level i-1's list filtered by its
         # one point, so the levels are built in one linear pass
-        gens = list(self.generators)
+        pairs = [(g, pinv(g)) for g in self.generators]
         for level in self._levels:
-            level.gens = gens
-            self._orbit_transversal(level)
-            gens = [g for g in gens if g[level.point] == level.point]
+            level.gens = pairs
+            level.transversal, level.inverses = _schreier_tree(level.point, pairs, self._identity)
+            pairs = [pair for pair in pairs if pair[0][level.point] == level.point]
         i = len(self._levels) - 1
         while i >= 0 and (order is None or self.order < order):
             jump = self._process_level(i)
@@ -198,49 +192,25 @@ class PermGroup:
                 self._levels.append(_Level(x))
                 return
 
-    def _orbit_transversal(self, level: _Level) -> None:
-        """Rebuild the level's Schreier tree over its generators in list
-        order.  Resets the cursor."""
-        gen_inverses = self._gen_inverses
-        for g in level.gens:
-            if g not in gen_inverses:
-                gen_inverses[g] = pinv(g)
-        level.transversal, level.inverses = _schreier_tree(
-            level.point, [(g, gen_inverses[g]) for g in level.gens], self._identity)
-        level.orbit = sorted(level.transversal)
-        level.cursor = 0
-
     def _process_level(self, i: int) -> Optional[int]:
         """Close level i under Schreier generators.  Returns None when the
         level is complete, else the index of the deepest level that received
         a new strong generator (the driver resumes there).
 
-        Sifting resumes at the cursor: every earlier pair sifted to the
-        identity through the deeper levels, which were then a complete BSGS
-        of a group that has only grown since, so it still does.  A pair with
-        t_beta g = t_(beta g) is the identity and is not sifted."""
+        Pairs (beta, g) go in sorted-beta, then generator order, from the
+        first; a pair with t_beta g = t_(beta g) is not sifted."""
         level = self._levels[i]
-        trans, inverses, gens = level.transversal, level.inverses, level.gens
-        ngens = len(gens)
-        if not ngens:
-            return None
-        ident = self._identity
-        first_beta, first_gen = divmod(level.cursor, ngens)
-        for bi in range(first_beta, len(level.orbit)):
-            beta = level.orbit[bi]
+        trans, inverses = level.transversal, level.inverses
+        for beta in sorted(trans):
             t_beta = trans[beta]
-            for gi in range(first_gen, ngens):
-                g = gens[gi]
+            for g, _ in level.gens:
                 image = g[beta]
                 product = pmul(t_beta, g)
                 if product == trans[image]:
                     continue
                 residue, depth = self._sift_from(pmul(product, inverses[image]), i + 1)
-                if residue != ident:
-                    level.cursor = bi * ngens + gi + 1
+                if residue != self._identity:
                     return self._add_strong_generator(residue, i + 1, depth)
-            first_gen = 0
-        level.cursor = len(level.orbit) * ngens
         return None
 
     def _sift_from(self, p: Perm, start: int) -> tuple[Perm, int]:
@@ -263,9 +233,11 @@ class PermGroup:
                     self._levels.append(_Level(x))
                     break
             depth = len(self._levels) - 1
-        for j in range(first, depth + 1):
-            self._levels[j].gens.append(g)
-            self._orbit_transversal(self._levels[j])
+        pair = (g, pinv(g))
+        for level in self._levels[first:depth + 1]:
+            level.gens.append(pair)
+            level.transversal, level.inverses = _schreier_tree(
+                level.point, level.gens, self._identity)
         return depth
 
     # -- queries ----------------------------------------------------------------
@@ -322,7 +294,7 @@ class PermGroup:
         seen = set()
         out = []
         for level in self._levels:
-            for g in level.gens:
+            for g, _ in level.gens:
                 if g not in seen:
                     seen.add(g)
                     out.append(g)

@@ -173,11 +173,11 @@ def reference_class_representatives(H: GroupTable) -> list[int]:
 
 
 # -- reference Schreier-Sims ---------------------------------------------------
-# The textbook construction as it stood before the sift cursor, the stored
-# transversal inverses and the skipped trivial Schreier generators: every
-# return to a level rebuilds its transversal and re-sifts every (beta, g)
-# pair from the first.  Slow but plainly correct; the production PermGroup
-# must build exactly the same base, level generators and transversals.
+# The textbook construction with no stored inverses and no skip of trivial
+# Schreier generators: every return to a level rebuilds its
+# transversal and re-sifts every (beta, g) pair from the first.  Slow but
+# plainly correct; the production PermGroup must build exactly the same base,
+# level generators and transversals.
 
 def _ref_pmul(p, q):
     return tuple(map(q.__getitem__, p))

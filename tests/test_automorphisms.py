@@ -1186,13 +1186,22 @@ def test_twin_lift_relabels_no_whole_graph(monkeypatch):
     (disjoint_union([cycle_graph(4)] * 3).complement(), 1,
      [(4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2, 3), (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10),
       (2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9)]),
-], ids=["k44-copies-then-twins", "2c5e2-copies-then-twins", "3c4-complement-three-copy-levels"])
+    (lex_product(petersen(), empty_graph(2)), 9948,
+     [(2, 3, 12, 13, 16, 17, 10, 11, 0, 1, 4, 5, 18, 19, 6, 7, 14, 15, 8, 9),
+      (3, 2, 1, 0, 11, 10, 17, 16, 13, 12, 5, 4, 9, 8, 15, 14, 7, 6, 19, 18),
+      (10, 11, 16, 17, 13, 12, 19, 18, 14, 15, 1, 0, 6, 7, 3, 2, 9, 8, 4, 5)]),
+], ids=["k44-copies-then-twins", "2c5e2-copies-then-twins", "3c4-complement-three-copy-levels",
+        "petersen-e2-whole-graph-search"])
 def test_generic_status_pins_lifts_through_reduction_chains(graph, nodes, generators):
     """Generic certificates through chains of part and twin levels, pinned:
     any change to the order of the lift shows here.  K4,4 and the
     complement of 3C4 reduce by twin levels alone, down to one vertex, so
     the only search is the one-node search there; 2C5[E2] is a twin level
-    over 2C5, a part level over C5, whose regular search adds its nodes."""
+    over 2C5, a part level over C5, whose regular search adds its nodes.
+    Petersen[E2]'s quotient is not Cayley, so the search walks the
+    stabilizer of Aut of the whole graph, which Schreier-Sims rebuilds with
+    twin transpositions among its strong generators: any change to that
+    build's order shows here too."""
     cert = cayley_status(graph)
     assert cert.verdict == "cayley" and verify_certificate(graph, cert)
     assert cert.nodes == nodes and cert.regular_generators == generators

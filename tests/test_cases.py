@@ -659,9 +659,11 @@ def test_cli_family_spec_fuzz_exits_0_or_2(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "3 1\n0 5\n", "3 1\n5 0\n", "3 1\n0 -1\n",
-                                  "3 1\n-1 0\n", "3 1\n0 1 2\n", "3 1\n1 1\n"],
+                                  "3 1\n-1 0\n", "3 1\n0 1 2\n", "3 1\n1 1\n",
+                                  "2 1\n0 1\n0 1\n", "2 1\n0 1\n1 0\n", "3 2\n0 1\n0 1\n"],
                          ids=["empty", "blank", "high-v", "high-u", "negative-v", "negative-u",
-                              "three-fields", "loop"])
+                              "three-fields", "loop", "repeated-edge", "reversed-repeat",
+                              "repeat-short-of-header"])
 def test_cli_aut_malformed_edge_list_exits_2_with_one_line(text, tmp_path, capsys):
     from haarcay.cli import main
     edges = tmp_path / "bad.txt"
@@ -671,6 +673,41 @@ def test_cli_aut_malformed_edge_list_exits_2_with_one_line(text, tmp_path, capsy
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "edge list" in captured.err
+    if text.count("\n") == 3:          # a repeated edge: its second line is named
+        assert "line 3" in captured.err and "repeated edge" in captured.err
+
+
+def test_cli_hinted_status_over_the_automorphism_table_cap_is_decided(capsys):
+    """Cyclic(201) is over ``AUT_TABLE_CAP``, so ``group_automorphisms``
+    refuses it and no part-swap certificate can be drawn; hinted status
+    goes on to the regular stage instead of reporting bad input."""
+    from haarcay.cli import main
+    assert main(["status", "Cyclic(201)", "--set", "1,a"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "cayley" and out.get("swap_witness") is None
+    H = cyclic_group(201)
+    graph, _ = haar_graph(H, connection_set(H, "1,a"))
+    cert = Certificate("cayley", regular_generators=[tuple(p) for p in out["regular_generators"]])
+    assert verify_certificate(graph, cert)
+
+
+def test_hinted_status_over_the_automorphism_size_cap_is_decided(monkeypatch):
+    """Z2^3 has 168 automorphisms; with ``AUT_SIZE_CAP`` lowered to 10,
+    ``group_automorphisms`` still refuses a direct caller, and hinted
+    status skips the part-swap certificate for the regular stage.  With the
+    cap restored, the certificate is found."""
+    from haarcay import groups
+    H = group_from_spec({"family": "DirectProduct", "factors": [{"family": "Cyclic", "n": 2}] * 3})
+    S = connection_set(H, "1,a1,a2")
+    graph, _ = haar_graph(H, S)
+    with monkeypatch.context() as m:
+        m.setattr(groups, "AUT_SIZE_CAP", 10)
+        with pytest.raises(ValueError, match="larger than cap"):
+            group_automorphisms(H)
+        cert = cayley_status(graph, BiCayleyHints(H, S))
+        assert cert.verdict == "cayley" and cert.swap_witness is None
+        assert verify_certificate(graph, cert)
+    assert cayley_status(graph, BiCayleyHints(H, S)).swap_witness is not None
 
 
 def test_cli_budget_env_yields_unknown(tmp_path, capsys, monkeypatch):
