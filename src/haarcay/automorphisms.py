@@ -77,8 +77,8 @@ from .bicayley import (
     cayley_certificate_from_swaps,
     right_translation_group_perms,
 )
-from .graphs import Graph, components, haar_graph
-from .groups import AutomorphismCapExceeded, _dimino_closure, _generated, elements_of, mask_of
+from .graphs import Graph, _generates_regular, components, haar_graph, verify_certificate
+from .groups import AutomorphismCapExceeded, _dimino_closure, elements_of, mask_of
 from .perms import (BudgetExceeded, Perm, PermGroup, _OrbitCache, _schreier_tree, identity_perm,
                     is_identity, pinv, pmul)
 
@@ -646,14 +646,6 @@ def _is_semiregular(p: Perm) -> bool:
     return True
 
 
-def _generates_regular(gens: Sequence[Perm], n: int) -> bool:
-    """Whether the permutations of degree n generate a group acting
-    regularly: its closure, stopped once it would pass n elements, has n
-    of them, and they send vertex 0 to n different points."""
-    closed = _generated(gens, identity_perm(n), pmul, cap=n)
-    return closed is not None and len(closed[0]) == n == len({p[0] for p in closed[0]})
-
-
 def _transversal_of_0(gens: Sequence[Perm], n: int) -> dict[int, Perm]:
     """Vertex v -> an element of <gens> carrying 0 to v: the breadth-first
     Schreier tree of vertex 0, which is the base-point-0 transversal of any
@@ -814,11 +806,10 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     when Z is but not only then (Petersen[E2]), so a twin level whose Z
     yields no regular group searches its own graph.
 
-    Every source hands the one Cayley exit a plain generator list, and the
-    exit checks it before it writes the certificate: each generator is an
-    automorphism, and ``_generates_regular`` closes them to a regular group.
-    A failed check raises ``RuntimeError``.  Only ``swap_witness`` tells
-    which source found the group.  Unknown only on budget exhaustion.
+    Every source hands the one Cayley exit a plain generator list; only
+    ``swap_witness`` tells which.  Every definitive certificate passes
+    ``verify_certificate`` before it is returned, or ``RuntimeError`` is
+    raised.  Unknown only on budget exhaustion, with the nodes searched.
     Hints whose Haar graph is not the graph given raise ``ValueError``.
     """
     t0 = time.perf_counter()
@@ -861,9 +852,6 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
                 swap = None
             gens, exhausted = (swap[0], True) if swap else regular(graph, aut)
             if gens is not None:
-                if not (all(graph.is_automorphism(p) for p in gens)
-                        and _generates_regular(gens, graph.n)):
-                    raise RuntimeError("Cayley generators are not a regular group of automorphisms")
                 cert = Certificate("cayley", regular_generators=list(gens),
                                    swap_witness=swap[1] if swap else None)
             elif exhausted:
@@ -871,8 +859,13 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
             else:
                 cert = Certificate("unknown", budget_report={"stage": "regular subgroup search",
                                                              "budget": regular_budget})
-    except BudgetExceeded as exc:
+    except BudgetExceeded as exc:   # the search stopped at its (budget + 1)-st node
+        nodes = exc.budget + 1
         cert = Certificate("unknown", budget_report={"stage": exc.what, "budget": exc.budget})
+    if cert.verdict != "unknown" and not verify_certificate(graph, cert):
+        raise RuntimeError("Cayley generators are not a regular group of automorphisms"
+                           if cert.verdict == "cayley" else
+                           "the orbit partition is not an equitable partition of the vertices")
     cert.nodes = nodes
     cert.millis = (time.perf_counter() - t0) * 1000
     return cert

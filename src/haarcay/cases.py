@@ -23,7 +23,8 @@ from .automorphisms import (
     cayley_status,
 )
 from .bicayley import BiCayleyHints, right_translation_group_perms
-from .graphs import Graph, complete_bipartite, empty_graph, haar_graph, lex_product
+from .graphs import (Graph, complete_bipartite, empty_graph, haar_graph, lex_product,
+                     verify_certificate)
 from .groups import (
     AutImages,
     GroupConstructionError,
@@ -49,7 +50,7 @@ from .groups import (
     right_translate_mask,
     subgroup_generated,
 )
-from .perms import PermGroup, pmul
+from .perms import pmul
 
 A4_SPEC = {
     "family": "Presented",
@@ -361,34 +362,6 @@ def enumerate_haar(H: GroupTable, connected_only: bool = False,
             continue
         graph, _ = haar_graph(H, S)
         yield S, cayley_status(graph, BiCayleyHints(H, S), ir_budget, regular_budget)
-
-
-def verify_certificate(graph: Graph, cert: Certificate) -> bool:
-    """Independently re-check a certificate against a freshly built graph."""
-    if cert.verdict == "cayley":
-        if cert.regular_generators is None:
-            return False
-        if not all(graph.is_automorphism(p) for p in cert.regular_generators):
-            return False
-        return PermGroup(graph.n, cert.regular_generators).is_regular()
-    if cert.verdict == "non_cayley":
-        if cert.orbit_partition is not None:
-            return len(cert.orbit_partition) >= 2 and all(cert.orbit_partition) and \
-                sorted(v for o in cert.orbit_partition for v in o) == list(range(graph.n)) and \
-                _is_equitable(graph, cert.orbit_partition)
-        return cert.exhausted_search
-    return False
-
-
-def _is_equitable(graph: Graph, cells: list[list[int]]) -> bool:
-    """Every vertex of a cell has the same number of neighbours in each
-    cell, as in every orbit partition."""
-    masks = [mask_of(cell) for cell in cells]
-    for cell in cells:
-        profiles = {tuple((graph.rows[v] & m).bit_count() for m in masks) for v in cell}
-        if len(profiles) > 1:
-            return False
-    return True
 
 
 def run_case(case: CaseSpec) -> dict:

@@ -1,5 +1,5 @@
-"""Simple undirected graphs with bitmask adjacency rows, plus the Cayley,
-bi-Cayley, Haar and lexicographic-product constructions.
+"""Simple undirected graphs with bitmask adjacency rows, the Cayley, bi-Cayley,
+Haar and lexicographic-product constructions, and the certificate check.
 
 Bi-Cayley vertex numbering: for a group of order n, the right part is
 h_0 -> index(h) and the left part h_1 -> n + index(h), so group arithmetic on
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .groups import GroupTable, elements_of, inverse_mask, mask_image
+from .groups import GroupTable, _generated, elements_of, inverse_mask, mask_image, mask_of
 
 VERTEX_CAP = 4096
 
@@ -105,6 +105,42 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+
+def verify_certificate(graph: Graph, cert) -> bool:
+    """Re-check a certificate against the graph, trusting no search: Cayley
+    generators are automorphisms closing to a regular group; non-Cayley is
+    an equitable partition into two or more cells, or an exhausted search."""
+    if cert.verdict == "cayley":
+        gens = cert.regular_generators
+        return gens is not None and all(graph.is_automorphism(p) for p in gens) and \
+            _generates_regular([tuple(p) for p in gens], graph.n)   # lists when read from JSON
+    if cert.verdict == "non_cayley":
+        if cert.orbit_partition is not None:
+            return len(cert.orbit_partition) >= 2 and all(cert.orbit_partition) and \
+                sorted(v for o in cert.orbit_partition for v in o) == list(range(graph.n)) and \
+                _is_equitable(graph, cert.orbit_partition)
+        return cert.exhausted_search
+    return False
+
+
+def _generates_regular(gens: Sequence[tuple[int, ...]], n: int) -> bool:
+    """Whether the permutations of degree n generate a group acting
+    regularly: its closure, stopped once it would pass n elements, has n
+    of them, and they send vertex 0 to n different points."""
+    closed = _generated(gens, tuple(range(n)), lambda p, q: tuple(map(q.__getitem__, p)), cap=n)
+    return closed is not None and len(closed[0]) == n == len({p[0] for p in closed[0]})
+
+
+def _is_equitable(graph: Graph, cells: list[list[int]]) -> bool:
+    """Every vertex of a cell has the same number of neighbours in each
+    cell, as in every orbit partition."""
+    masks = [mask_of(cell) for cell in cells]
+    for cell in cells:
+        profiles = {tuple((graph.rows[v] & m).bit_count() for m in masks) for v in cell}
+        if len(profiles) > 1:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

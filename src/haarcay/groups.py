@@ -392,7 +392,10 @@ def _isomorphisms(G: GroupTable, H: GroupTable) -> Iterator[tuple[int, ...]]:
 
 
 def group_automorphisms(H: GroupTable) -> list[AutImages]:
-    """All automorphisms of the group, sorted and cached on the table."""
+    """All automorphisms of the group, cached on the table, sorted as
+    ``_isomorphisms`` yields them: g_l is the least element outside
+    <g_1..g_(l-1)>, so every position before it is fixed by the earlier
+    levels, and its candidates run in increasing order."""
     if H._aut_cache is not None:
         return list(H._aut_cache)
     if H.order > AUT_TABLE_CAP:
@@ -402,7 +405,6 @@ def group_automorphisms(H: GroupTable) -> list[AutImages]:
         found.append(images)
         if len(found) > AUT_SIZE_CAP:
             raise AutomorphismCapExceeded("automorphism group larger than cap")
-    found.sort()
     H._aut_cache = found
     return list(found)
 
@@ -520,15 +522,7 @@ def dihedral_group(n: int) -> GroupTable:
     _refuse_oversize((2, 1), (n, 1))
     if n < 1:
         raise GroupConstructionError("dihedral group needs n >= 1")
-
-    def mul(u, v):
-        i1, j1 = u
-        i2, j2 = v
-        return ((i1 + (i2 if j1 == 0 else -i2)) % n, (j1 + j2) % 2)
-
-    forms = [(i, j) for i in range(n) for j in range(2)]
-    return _table_from_forms(forms, mul, [("a", (1 % n, 0)), ("b", (0, 1))],
-                             tag=f"Dihedral({n})")
+    return _cyclic_by_cyclic(n, -1, 2, 2, [("a", 1 % n, 0), ("b", 0, 1)], f"Dihedral({n})")
 
 
 def quaternion_group() -> GroupTable:
@@ -555,18 +549,9 @@ def mp_group(p: int, m: int, n: int) -> GroupTable:
         raise GroupConstructionError(f"p={p} is not prime")
     if m < 2 or n < 1:
         raise GroupConstructionError("family needs m >= 2 and n >= 1")
-    pm, pn, c_exp = p ** m, p ** n, p ** (m - 1)
-
-    def mul(u, v):
-        i1, j1 = u
-        i2, j2 = v
-        return ((i1 + i2 - c_exp * i2 * j1) % pm, (j1 + j2) % pn)
-
-    forms = [(i, j) for i in range(pm) for j in range(pn)]
-    return _table_from_forms(
-        forms, mul,
-        [("a", (1, 0)), ("b", (0, 1)), ("c", (c_exp, 0))],
-        tag=f"MpMN({p},{m},{n})")
+    c_exp = p ** (m - 1)
+    return _cyclic_by_cyclic(p ** m, 1 + c_exp, p, p ** n,
+                             [("a", 1, 0), ("b", 0, 1), ("c", c_exp, 0)], f"MpMN({p},{m},{n})")
 
 
 def mp1_group(p: int, m: int, n: int) -> GroupTable:
@@ -690,6 +675,16 @@ def _semidirect_table(add: Sequence[Sequence[int]], powers: Sequence[Sequence[in
                 for j2 in range(top_order):
                     row[v2 * top_order + j2] = base + (j1 + j2) % top_order
     return mult
+
+
+def _cyclic_by_cyclic(base: int, r: int, period: int, top: int,
+                      gens: Sequence[tuple[str, int, int]], tag: str) -> GroupTable:
+    """Z_base semidirect Z_top, t^-1 a t = a^r with r^period = 1 mod base
+    and period dividing top, by ``_semidirect_table``: a^i t^j has index
+    i * top + j, and ``gens`` names elements as (label, i, j)."""
+    codec = _MixedRadix([base])
+    mult = _semidirect_table(codec.sum_table(), _action_powers(codec, [[r]], period - 1), top)
+    return GroupTable(mult, gens=[(lbl, i * top + j) for lbl, i, j in gens], tag=tag)
 
 
 def miller_moreno_group(p: int, n: int, q: int, m: int,

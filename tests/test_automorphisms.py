@@ -10,7 +10,6 @@ from haarcay.automorphisms import (
     RegularSearchOutcome,
     _AutSearch,
     _Partition,
-    _generates_regular,
     _is_semiregular,
     _refine,
     _twin_classes,
@@ -20,11 +19,12 @@ from haarcay.automorphisms import (
     is_vertex_transitive,
     regular_subgroup_search,
 )
-from haarcay import automorphisms, bicayley
+from haarcay import automorphisms, bicayley, graphs
 from haarcay.bicayley import BiCayleyHints, normalizer_structure, right_translation_group_perms
 from haarcay.cases import CASE_INDEX, constructor_catalog, verify_certificate
 from haarcay.graphs import (
     Graph,
+    _generates_regular,
     cayley_graph,
     complete_bipartite,
     complete_graph,
@@ -428,7 +428,7 @@ def test_generic_cayley_status_perm_group_builds(monkeypatch):
 def test_hinted_swap_certificate_builds_no_perm_group(monkeypatch):
     """The part-swap certificate is a generator list, checked at the
     Cayley exit by its closure: hinted Haar(Q8, {1, i, j}) builds no
-    ``PermGroup`` until the independent checker builds its own."""
+    ``PermGroup``, and neither does the certificate check run again."""
     built = _count_perm_group_builds(monkeypatch)
     Q8 = quaternion_group()
     S = connection_set(Q8, "1,i,j")
@@ -436,7 +436,7 @@ def test_hinted_swap_certificate_builds_no_perm_group(monkeypatch):
     cert = cayley_status(g, BiCayleyHints(Q8, S))
     assert cert.verdict == "cayley" and cert.swap_witness["kind"] == "part_swap"
     assert built == []
-    assert verify_certificate(g, cert) and built == [16]
+    assert verify_certificate(g, cert) and built == []
 
 
 def test_the_cayley_exit_refuses_a_non_regular_group_from_each_source(monkeypatch):
@@ -465,6 +465,37 @@ def test_the_cayley_exit_refuses_a_non_regular_group_from_each_source(monkeypatc
                   lambda z, z_aut, budget: RegularSearchOutcome(z_aut.generators, True, 0))
         with pytest.raises(RuntimeError, match="not a regular group"):
             cayley_status(cycle_graph(6))
+
+
+def test_the_exit_refuses_a_planted_orbit_partition(monkeypatch):
+    """Non-Cayley certificates pass the same exit check: an automorphism
+    search that reports C6's vertices split into a partition that is not
+    equitable, or into cells that miss vertex 5, makes ``cayley_status``
+    raise instead of answering non_cayley."""
+    search = automorphisms.automorphism_group
+    for cells in ([[0], [1, 2, 3, 4, 5]], [[0, 1, 2], [3, 4]]):
+        def planted(graph, *args, cells=cells, **kwargs):
+            result = search(graph, *args, **kwargs)
+            result.orbits = cells
+            return result
+
+        with monkeypatch.context() as m:
+            m.setattr(automorphisms, "automorphism_group", planted)
+            with pytest.raises(RuntimeError, match="orbit partition"):
+                cayley_status(cycle_graph(6))
+
+
+@pytest.mark.parametrize("graph, budget, nodes", [
+    (petersen(), 3, 4), (petersen(), 14, 15), (disjoint_union([petersen()] * 3), 44, 45),
+])
+def test_an_ir_budget_unknown_reports_the_nodes_searched(graph, budget, nodes):
+    """An automorphism search that runs out stops at its (budget + 1)-st
+    node, and the unknown certificate counts that many: Petersen's full
+    search takes 15 nodes, so a budget of 14 is the last to run out."""
+    cert = cayley_status(graph, ir_budget=budget)
+    assert cert.verdict == "unknown" and cert.nodes == nodes
+    assert cert.budget_report == {"stage": "automorphism search", "budget": budget}
+    assert automorphism_group(petersen()).nodes == 15
 
 
 @st.composite
@@ -515,7 +546,12 @@ def test_generates_regular_agrees_with_schreier_sims_and_sympy(drawn):
         assert products <= n * (len(gens) + 1), "the closure went past n elements"
         return pmul(p, q)
 
-    with mock.patch.object(automorphisms, "pmul", counted):
+    closure = graphs._generated
+
+    def generated(gens, identity, mul, cap=None):
+        return closure(gens, identity, counted, cap=cap)
+
+    with mock.patch.object(graphs, "_generated", generated):
         got = _generates_regular(gens, n)
     sym = PermutationGroup([Permutation(list(p)) for p in gens + [identity_perm(n)]])
     assert got == PermGroup(n, gens).is_regular() == (sym.is_transitive() and sym.order() == n)
@@ -1220,7 +1256,8 @@ def test_generic_status_pins_the_exits_of_the_reduction(monkeypatch):
     degree.  Copies of a non-Cayley graph, and their complement, are decided
     on one copy and never searched whole; a twin blow-up whose quotient is
     not Cayley searches the quotient and then its own graph; and an IR budget
-    that runs out in the first search reports no nodes."""
+    that runs out in the first search reports the nodes it searched, one
+    past the budget."""
     degrees = []
     search = automorphisms.regular_subgroup_search
 
@@ -1242,7 +1279,7 @@ def test_generic_status_pins_the_exits_of_the_reduction(monkeypatch):
     assert cert.verdict == "cayley" and verify_certificate(g, cert)
     assert degrees == [10, 20]
     cert = cayley_status(p, ir_budget=1)
-    assert cert.verdict == "unknown" and cert.nodes == 0
+    assert cert.verdict == "unknown" and cert.nodes == 2
     assert cert.budget_report == {"stage": "automorphism search", "budget": 1}
 
 

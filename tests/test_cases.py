@@ -335,6 +335,15 @@ def test_verify_certificate_rejects_tampering():
     assert not verify_certificate(graph, cert)
 
 
+def test_verify_certificate_reads_generators_back_from_json():
+    """JSON gives the generators back as lists; they check as the tuples do."""
+    H = dihedral_group(3)
+    S = connection_set(H, "1,a")
+    graph, _ = haar_graph(H, S)
+    out = json.loads(json.dumps(cayley_status(graph, hints=BiCayleyHints(H, S)).to_json_dict()))
+    assert verify_certificate(graph, Certificate("cayley", regular_generators=out["regular_generators"]))
+
+
 def test_verify_certificate_of_the_one_vertex_graph():
     # K1 is Cayley on the trivial group: its regular subgroup has no generators
     k1 = Graph(1)
@@ -370,6 +379,20 @@ def test_verify_certificate_rejects_non_equitable_partition():
                 assert verify_certificate(graph, cert), (H.tag, S)
                 seen += 1
     assert seen >= 12
+
+
+def test_reproduce_all_builds_no_perm_group(monkeypatch):
+    """Every catalog certificate is checked twice, at the exit of
+    ``cayley_status`` and again on a rebuilt graph, both by closure, so the
+    22 cases pass with Schreier-Sims refused outright."""
+    from haarcay.perms import PermGroup
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a PermGroup was built")
+
+    monkeypatch.setattr(PermGroup, "__init__", refuse)
+    rows = reproduce_all()
+    assert len(rows) == 22 and all(row["pass"] for row in rows)
 
 
 def test_reproduce_all_deterministic_modulo_timing():
@@ -752,8 +775,20 @@ def test_cli_aut_budget_env_yields_unknown(tmp_path, capsys, monkeypatch):
     lines = captured.out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {
-        "verdict": "unknown", "vertices": 16,
+        "verdict": "unknown", "vertices": 16, "nodes": 6,
         "budget_report": {"stage": "automorphism search", "budget": 5}}
+
+
+def test_cli_aut_unknown_reports_the_nodes_searched(tmp_path, capsys, monkeypatch):
+    """At budget 1 the search stops at its second node and says so."""
+    from haarcay.cli import main
+    from test_automorphisms import petersen
+    edges = tmp_path / "petersen.txt"
+    edges.write_text(write_edge_list(petersen()), encoding="utf-8")
+    monkeypatch.setenv("HAARCAY_BUDGET", "1")
+    assert main(["aut", str(edges)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "unknown" and out["nodes"] == 2
 
 
 def test_cli_aut_deep_search_yields_unknown(tmp_path, capsys, monkeypatch):
@@ -768,7 +803,7 @@ def test_cli_aut_deep_search_yields_unknown(tmp_path, capsys, monkeypatch):
     lines = captured.out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {
-        "verdict": "unknown", "vertices": 2201,
+        "verdict": "unknown", "vertices": 2201, "nodes": 1201,
         "budget_report": {"stage": "automorphism search", "budget": 1200}}
 
 

@@ -11,6 +11,7 @@ import hashlib
 import json
 import random
 
+from haarcay import automorphisms
 from haarcay.automorphisms import automorphism_group, cayley_status
 from haarcay.bicayley import BiCayleyHints
 from haarcay.cases import (
@@ -29,7 +30,7 @@ from haarcay.graphs import (
     lex_product,
 )
 from haarcay.groups import connection_set, group_from_spec
-from haarcay.perms import BudgetExceeded
+from haarcay.perms import BudgetExceeded, PermGroup
 
 GOLDEN = {
     "reproduce": "03a279ec6d6fa77fdad6274cf5e732635ee8edab0c23eb13d79436421c33502e",
@@ -137,3 +138,29 @@ def test_outputs_match_the_golden_digests():
            "generic": _digest(_generic())}
     changed = [name for name in GOLDEN if got[name] != GOLDEN[name]]
     assert not changed, f"outputs changed in section(s) {changed}: {got}"
+
+
+def test_the_exit_check_of_generic_status_builds_no_perm_group(monkeypatch):
+    """The certificate check at the exit of ``cayley_status`` closes the
+    generators and reads the partition itself: on every generic verdict of
+    the golden section it passes with ``PermGroup`` refused.  Only the
+    check is patched, since the regular search still walks a stabilizer."""
+    check = automorphisms.verify_certificate
+    verdicts = []
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the certificate check built a PermGroup")
+
+    def guarded(graph, cert):
+        with monkeypatch.context() as m:
+            m.setattr(PermGroup, "__init__", refuse)
+            ok = check(graph, cert)
+        verdicts.append(cert.verdict)
+        return ok
+
+    monkeypatch.setattr(automorphisms, "verify_certificate", guarded)
+    unknown = 0
+    for _, graph, generic in _generic_graphs():
+        if generic:
+            unknown += cayley_status(graph, ir_budget=5000, regular_budget=1000).verdict == "unknown"
+    assert (verdicts.count("cayley"), verdicts.count("non_cayley"), unknown) == (20, 4, 6)

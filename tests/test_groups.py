@@ -438,6 +438,15 @@ def test_automorphism_group_sizes():
     assert len(q8_auts) == 24
 
 
+def test_automorphisms_are_listed_in_sorted_order():
+    """``group_automorphisms`` does not sort: the backtrack yields its
+    images sorted, because every position before g_l is fixed by the levels
+    before it and g_l's candidates run in increasing order."""
+    for H in constructor_catalog(48):
+        isos = list(_isomorphisms(H, H))
+        assert isos == sorted(isos), H.tag
+
+
 def test_q8_automorphisms_match_brute_force():
     Q8 = quaternion_group()
     assert sorted(group_automorphisms(Q8)) == sorted(brute_force_group_automorphisms(Q8))
@@ -562,10 +571,20 @@ def test_element_index_ordering_is_documented_normal_form():
         "MillerMoreno(2,2,3,2)": "e2da6225c503", "MillerMoreno(5,1,2,3)": "0e41712a906b",
         "Presented(x,y,z)": "ea64ef3f07c6", "Presented(x,y,z,u)": "3138c767c5bc",
         "Presented(x,y,z,v,w)": "46c42780f86c",
+        "Dihedral(2)": "03dc126565fc", "Dihedral(3)": "adb4c0df0a6c",
+        "Dihedral(4)": "ce55dc556e0e", "Dihedral(5)": "58cf06e3a129",
+        "Dihedral(6)": "15ffbe6a35d5", "Dihedral(7)": "8f7e47a51378",
+        "Dihedral(8)": "4a7f5458b322", "Dihedral(9)": "9318ebf2accb",
+        "Dihedral(10)": "a358c2bf7907", "Dihedral(11)": "e100fe49b777",
+        "Dihedral(12)": "4cfb012d309f", "Dihedral(13)": "c20f0131a5f0",
+        "Dihedral(14)": "cc30dcd168fa", "Dihedral(15)": "a79954a5381b",
+        "MpMN(2,2,1)": "ce55dc556e0e", "MpMN(2,2,2)": "7e4650eb783f",
+        "MpMN(2,3,1)": "6b257eb3bd06", "MpMN(3,2,1)": "a2d6d8e46b39",
+        "MpMN(2,3,2)": "377efab8e83b",
     }
-    built = [H for H in constructor_catalog(30) if H.tag.startswith(("MillerMoreno", "Presented"))]
-    built += [group_from_spec(c.group) for c in CATALOG
-              if c.group["family"] in ("MillerMoreno", "Presented")]
+    families = ("MillerMoreno", "Presented", "Dihedral", "MpMN")
+    built = [H for H in constructor_catalog(30) if H.tag.split("(")[0] in families]
+    built += [group_from_spec(c.group) for c in CATALOG if c.group["family"] in families]
     hashes = {H.tag: hashlib.sha256(repr(H.mult).encode()).hexdigest()[:12] for H in built}
     assert hashes == pinned
 
