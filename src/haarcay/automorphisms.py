@@ -77,10 +77,10 @@ from .bicayley import (
     cayley_certificate_from_swaps,
     right_translation_group_perms,
 )
-from .graphs import Graph, _generates_regular, components, haar_graph, verify_certificate
+from .graphs import Graph, components, haar_graph, verify_certificate
 from .groups import AutomorphismCapExceeded, _dimino_closure, elements_of, mask_of
-from .perms import (BudgetExceeded, Perm, PermGroup, _OrbitCache, _schreier_tree, identity_perm,
-                    is_identity, pinv, pmul)
+from .perms import (BudgetExceeded, Perm, PermGroup, _Meter, _OrbitCache, _schreier_tree,
+                    identity_perm, is_identity, pinv, pmul)
 
 IR_BUDGET = 10 ** 7
 REGULAR_BUDGET = 10 ** 7
@@ -275,15 +275,15 @@ class _Frame:
 
 class _AutSearch:
     """The search on a graph with an initial colouring (ordered cells) and
-    seeds that are already known to be colour-preserving automorphisms."""
+    seeds that are already known to be colour-preserving automorphisms.  Its
+    nodes go on the one ``meter`` of its ``automorphism_group`` call."""
 
     def __init__(self, graph: Graph, cells: list[list[int]], seeds: Sequence[Perm],
-                 budget: int):
+                 meter: _Meter):
         self.graph = graph
         self.n = graph.n
         self.cells = cells
-        self.budget = budget
-        self.nodes = 0
+        self.meter = meter
         self.order = 1
         self.gens: list[Perm] = list(seeds)
         self.first: Optional[tuple[Perm, tuple, list[int]]] = None
@@ -295,10 +295,9 @@ class _AutSearch:
         part: Optional[_Partition] = _Partition.from_cells(self.n, self.cells)
         part.refine(self.graph.rows, [mask_of(c) for c in self.cells])
         stack: list[_Frame] = []
+        start = self.meter.nodes
         while part is not None:
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise BudgetExceeded("automorphism search", self.budget)
+            self.meter.charge()
             target = part.target()
             if target < 0:
                 self._leaf(tuple(part.start), stack)
@@ -311,7 +310,7 @@ class _AutSearch:
         root = _OrbitCache(self.n, ())
         root.update(self.gens)
         return AutResult(self.n, list(self.gens), root.partition(),
-                         self.best[0], self.nodes, self.order, self.first[2])
+                         self.best[0], self.meter.nodes - start, self.order, self.first[2])
 
     def _next_child(self, stack: list[_Frame]) -> Optional[_Partition]:
         """The partition of the next unpruned child of the deepest unfinished
@@ -509,17 +508,13 @@ def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
 
     The level walk of the module docstring: a forward pass splits off twin
     and part levels, and a backward pass searches what is left, from its
-    colour cells and within what is left of ``budget`` (``nodes`` adds the
+    colour cells and on one node meter of ``budget`` (``nodes`` adds the
     searches up), then lifts each level.  A part level ranks its parts by
     canonical form (a searched part's canonical relabelling and colours, a
     split part's ranked forms), so isomorphic parts run together."""
-    gens: list[Perm] = []
-    for s in seeds:
-        s = tuple(s)
-        if not is_identity(s) and s not in gens:
-            if not graph.is_automorphism(s):
-                raise ValueError("seed permutation is not an automorphism")
-            gens.append(s)
+    gens = _distinct(map(tuple, seeds))
+    if not all(map(graph.is_automorphism, gens)):
+        raise ValueError("seed permutation is not an automorphism")
     # job k is a graph, its colours and its seeds; splits[k] is None when it
     # is searched, else its fibres (parts as arrays), the twin quotient or
     # None, and its first child job.  Only searched jobs keep their graph,
@@ -548,19 +543,14 @@ def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
         jobs[i] = None
     results: list = [None] * len(jobs)
     keys: list = [None] * len(jobs)
-    nodes = 0
+    meter = _Meter("automorphism search", budget)
     for i in reversed(range(len(jobs))):
         if splits[i] is None:
             g, colours, gens = jobs[i]
             cells: dict = {}
             for v, colour in enumerate(colours):
                 cells.setdefault(colour, []).append(v)
-            try:
-                results[i] = _AutSearch(g, [cells[c] for c in sorted(cells)], gens,
-                                        budget - nodes).run()
-            except BudgetExceeded:
-                raise BudgetExceeded("automorphism search", budget) from None
-            nodes += results[i].nodes
+            results[i] = _AutSearch(g, [cells[c] for c in sorted(cells)], gens, meter).run()
             continue
         fibres, q, first = splits[i]
         if q is not None:
@@ -668,11 +658,11 @@ def regular_subgroup_search(graph: Graph, aut: AutResult,
     semiregular group, so its orbit of 0 has as many vertices as it has
     elements: n of them make it regular, fewer leave a vertex outside.  Each
     rejected candidate counts as one node, as each element a closure admits
-    does, so the budget bounds the whole walk.  Exhausting the search space
-    is a definitive "no regular subgroup"; running out of budget is not.
-    When |Aut| = n, Aut itself is the answer, as ``aut.generators``, and no
-    ``PermGroup`` is built; the generators of a group found are checked
-    regular by ``_generates_regular``.
+    does, so one node meter of ``budget`` bounds the whole walk.  Exhausting
+    the search space is a definitive "no regular subgroup"; running out of
+    budget is not.  When |Aut| = n, Aut itself is the answer, as
+    ``aut.generators``, and no ``PermGroup`` is built.  A group found is not
+    checked here: ``cayley_status`` checks every verdict at its exit.
     """
     n = graph.n
     if n == 0 or len(aut.orbits) > 1:
@@ -682,18 +672,12 @@ def regular_subgroup_search(graph: Graph, aut: AutResult,
     walk = _bfs_vertex_order(graph)
     transversal = _transversal_of_0(aut.generators, n)
     stab0 = aut.group.stabilizer(0)
-    nodes = 0
-
-    def count_node() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded("regular subgroup search", budget)
+    meter = _Meter("regular subgroup search", budget)
 
     def rejected(p: Perm) -> bool:
         if not _is_semiregular(p):
             return True
-        count_node()
+        meter.charge()
         return False
 
     def extend(elems: list[Perm], gens: tuple[Perm, ...]) -> Optional[tuple[Perm, ...]]:
@@ -704,7 +688,7 @@ def regular_subgroup_search(graph: Graph, aut: AutResult,
         for s in stab0.elements():
             cand = pmul(s, transversal[v])
             if not _is_semiregular(cand):
-                count_node()
+                meter.charge()
                 continue
             grown = _dimino_closure(elems, gens, cand, pmul, rejected, n)
             if grown is not None:
@@ -716,12 +700,8 @@ def regular_subgroup_search(graph: Graph, aut: AutResult,
     try:
         found = extend([identity_perm(n)], ())
     except BudgetExceeded:
-        return RegularSearchOutcome(None, False, nodes)
-    if found is None:
-        return RegularSearchOutcome(None, True, nodes)
-    if not _generates_regular(found, n):
-        raise RuntimeError("regular search returned a non-regular group")
-    return RegularSearchOutcome(list(found), True, nodes)
+        return RegularSearchOutcome(None, False, meter.nodes)
+    return RegularSearchOutcome(None if found is None else list(found), True, meter.nodes)
 
 
 @dataclass
@@ -859,8 +839,8 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
             else:
                 cert = Certificate("unknown", budget_report={"stage": "regular subgroup search",
                                                              "budget": regular_budget})
-    except BudgetExceeded as exc:   # the search stopped at its (budget + 1)-st node
-        nodes = exc.budget + 1
+    except BudgetExceeded as exc:
+        nodes = exc.nodes
         cert = Certificate("unknown", budget_report={"stage": exc.what, "budget": exc.budget})
     if cert.verdict != "unknown" and not verify_certificate(graph, cert):
         raise RuntimeError("Cayley generators are not a regular group of automorphisms"

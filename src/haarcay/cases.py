@@ -247,6 +247,14 @@ def translate_free(Q: GroupTable, S: int) -> bool:
     return not _translate_fixers(Q, S)
 
 
+def _intransitive(graph: Graph, orbits: list[list[int]]) -> bool:
+    """Two or more orbits, which then pass the check as a non-Cayley certificate."""
+    cert = Certificate("non_cayley", orbit_partition=orbits)
+    if len(orbits) > 1 and not verify_certificate(graph, cert):
+        raise RuntimeError("the orbit partition is not an equitable partition of the vertices")
+    return len(orbits) > 1
+
+
 def check_quotient_obstruction(H: GroupTable, normal: int, quotient_set: int) -> ObstructionReport:
     """The quotient obstruction: if the Haar graph of H/N with spokes S is not
     vertex-transitive and S has no nontrivial translate symmetry, then the
@@ -261,7 +269,7 @@ def check_quotient_obstruction(H: GroupTable, normal: int, quotient_set: int) ->
     Q, proj = quotient(H, normal)
     graph, _ = haar_graph(Q, quotient_set)
     aut = automorphism_group(graph, right_translation_group_perms(Q))
-    vt = len(aut.orbits) <= 1
+    vt = not _intransitive(graph, aut.orbits)
     tfree = translate_free(Q, quotient_set)
     lifted = mask_of(h for h in range(H.order) if (quotient_set >> proj[h]) & 1)
     big, _ = haar_graph(H, lifted)
@@ -376,7 +384,7 @@ def run_case(case: CaseSpec) -> dict:
         seeds = right_translation_group_perms(H)
         result = automorphism_group(graph, seeds)
         nodes = result.nodes
-        verdict = "not_vertex_transitive" if len(result.orbits) > 1 else "vertex_transitive"
+        verdict = ("not_" if _intransitive(graph, result.orbits) else "") + "vertex_transitive"
         certificate = {
             "vertices": graph.n,
             "aut_order": result.order,

@@ -100,7 +100,7 @@ def cmd_aut(args) -> int:
     try:
         result = automorphism_group(graph, budget=_budget(IR_BUDGET))
     except BudgetExceeded as exc:
-        _emit({"verdict": "unknown", "vertices": graph.n, "nodes": exc.budget + 1,
+        _emit({"verdict": "unknown", "vertices": graph.n, "nodes": exc.nodes,
                "budget_report": {"stage": exc.what, "budget": exc.budget}})
         return 1
     _emit({

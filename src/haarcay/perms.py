@@ -39,12 +39,29 @@ Perm = tuple  # length-degree tuple of images
 
 
 class BudgetExceeded(RuntimeError):
-    """A bounded search ran out of its node budget before finishing."""
+    """A bounded search ran out of its node budget before finishing: it
+    stopped at its (budget + 1)-st node, so ``nodes`` is that many."""
 
     def __init__(self, what: str, budget: int):
         super().__init__(f"{what}: budget of {budget} nodes exhausted")
         self.what = what
         self.budget = budget
+        self.nodes = budget + 1
+
+
+class _Meter:
+    """The node count of one bounded search, however many routines share it:
+    ``charge`` counts a node and raises ``BudgetExceeded`` past the budget."""
+
+    def __init__(self, what: str, budget: int):
+        self.what = what
+        self.budget = budget
+        self.nodes = 0
+
+    def charge(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise BudgetExceeded(self.what, self.budget)
 
 
 def identity_perm(n: int) -> Perm:
@@ -227,12 +244,7 @@ class PermGroup:
         return p, len(levels)
 
     def _add_strong_generator(self, g: Perm, first: int, depth: int) -> int:
-        if depth == len(self._levels):
-            for x in range(self.degree):
-                if g[x] != x:
-                    self._levels.append(_Level(x))
-                    break
-            depth = len(self._levels) - 1
+        self._ensure_base_covers(g)   # a residue that fixes every base point adds one
         pair = (g, pinv(g))
         for level in self._levels[first:depth + 1]:
             level.gens.append(pair)

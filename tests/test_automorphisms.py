@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -498,6 +499,37 @@ def test_an_ir_budget_unknown_reports_the_nodes_searched(graph, budget, nodes):
     assert automorphism_group(petersen()).nodes == 15
 
 
+def test_the_parts_of_one_search_share_one_meter():
+    """Three Petersen copies are searched part by part, 15 nodes each, on
+    one node meter: a budget of 44 stops at the 45th node, and reports it,
+    while 45 is enough for all three."""
+    g = disjoint_union([petersen()] * 3)
+    with pytest.raises(BudgetExceeded) as info:
+        automorphism_group(g, budget=44)
+    assert (info.value.what, info.value.budget, info.value.nodes) == \
+        ("automorphism search", 44, 45)
+    assert automorphism_group(g, budget=45).nodes == 45
+
+
+def test_generic_status_closes_a_found_regular_group_once(monkeypatch):
+    """The regular search hands the group it finds to the exit check of
+    ``cayley_status`` without closing it itself, so C24, whose Aut is twice
+    its order, has its regular group closed once."""
+    closes = []
+    closure = graphs._generates_regular
+
+    def counting(gens, n):
+        closes.append(n)
+        return closure(gens, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("haarcay") and hasattr(module, "_generates_regular"):
+            monkeypatch.setattr(module, "_generates_regular", counting)
+    cert = cayley_status(cycle_graph(24))
+    assert cert.verdict == "cayley" and cert.swap_witness is None
+    assert closes == [24]
+
+
 @st.composite
 def _generator_lists(draw) -> tuple[int, list]:
     """A degree and a list of permutations of it: right regular
@@ -596,8 +628,13 @@ def test_regular_search_budget_counts_rejected_candidates():
     assert sum(PermGroup(10, [p]).is_semiregular() for p in aut.group.elements()) == 25
     full = regular_subgroup_search(g, aut)
     assert full.generators is None and full.exhausted
-    cut = regular_subgroup_search(g, aut, budget=full.nodes - 1)
+    budget = full.nodes - 1
+    cut = regular_subgroup_search(g, aut, budget=budget)
     assert cut.generators is None and not cut.exhausted and cut.nodes == full.nodes
+    assert cut.nodes == budget + 1
+    for budget in (0, 1, full.nodes // 2):
+        cut = regular_subgroup_search(g, aut, budget=budget)
+        assert not cut.exhausted and cut.nodes == budget + 1
 
 
 SMALL_VERTEX_TRANSITIVE = [

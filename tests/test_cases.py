@@ -148,6 +148,24 @@ def test_obstruction_runs_one_automorphism_search(monkeypatch):
     assert calls == [28]
 
 
+@pytest.mark.parametrize("case_id", ["a4-not-vt", "obstruct-z7-z4"])
+def test_catalog_intransitivity_passes_the_certificate_check(monkeypatch, case_id):
+    """A catalog case that reads "not vertex-transitive" off the seeded
+    search's orbits first checks them as a non-Cayley certificate, so orbits
+    that are not an equitable partition raise instead of giving a verdict."""
+    import dataclasses
+    import haarcay.cases as cases
+    search = cases.automorphism_group
+
+    def vertex_0_split_off(graph, *args, **kwargs):
+        return dataclasses.replace(search(graph, *args, **kwargs),
+                                   orbits=[[0], list(range(1, graph.n))])
+
+    monkeypatch.setattr(cases, "automorphism_group", vertex_0_split_off)
+    with pytest.raises(RuntimeError, match="not an equitable partition"):
+        reproduce(case_id)
+
+
 def test_reproduce_all_reports_the_work_of_every_case(capsys):
     """Every case runs at least one automorphism search, the obstruction
     cases included (theirs is on the quotient's Haar graph)."""
