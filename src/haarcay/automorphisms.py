@@ -77,10 +77,10 @@ from .bicayley import (
     cayley_certificate_from_swaps,
     right_translation_group_perms,
 )
-from .graphs import Graph, components, haar_graph, verify_certificate
+from .graphs import Graph, components, haar_graph, raise_unless_verified, verify_certificate
 from .groups import AutomorphismCapExceeded, _dimino_closure, elements_of, mask_of
-from .perms import (BudgetExceeded, Perm, PermGroup, _Meter, _OrbitCache, _schreier_tree,
-                    identity_perm, is_identity, pinv, pmul)
+from .perms import (BudgetExceeded, Perm, PermGroup, _distinct, _Meter, _OrbitCache,
+                    _schreier_tree, identity_perm, pinv, pmul)
 
 IR_BUDGET = 10 ** 7
 REGULAR_BUDGET = 10 ** 7
@@ -494,10 +494,6 @@ def _induced(graph: Graph, vertices: list[int]) -> Graph:
                  validate=False)
 
 
-def _distinct(perms: Iterable[Perm]) -> list[Perm]:
-    return [q for q in dict.fromkeys(perms) if not is_identity(q)]
-
-
 def automorphism_group(graph: Graph, seeds: Sequence[Perm] = (),
                        budget: int = IR_BUDGET) -> AutResult:
     """Full automorphism group with orbit partition, order and canonical
@@ -740,14 +736,10 @@ def _bfs_vertex_order(graph: Graph) -> list[int]:
     queue = deque([0])
     while queue:
         v = queue.popleft()
-        w = graph.rows[v] & ~seen
-        while w:
-            low = w & -w
-            u = low.bit_length() - 1
-            seen |= low
+        for u in elements_of(graph.rows[v] & ~seen):
+            seen |= 1 << u
             order.append(u)
             queue.append(u)
-            w ^= low
     for v in range(graph.n):
         if not (seen >> v) & 1:
             order.append(v)
@@ -788,9 +780,10 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
 
     Every source hands the one Cayley exit a plain generator list; only
     ``swap_witness`` tells which.  Every definitive certificate passes
-    ``verify_certificate`` before it is returned, or ``RuntimeError`` is
-    raised.  Unknown only on budget exhaustion, with the nodes searched.
-    Hints whose Haar graph is not the graph given raise ``ValueError``.
+    ``verify_certificate`` before it is returned, or ``raise_unless_verified``
+    raises ``RuntimeError``.  Unknown only on budget exhaustion, with the
+    nodes searched.  Hints whose Haar graph is not the graph given raise
+    ``ValueError``.
     """
     t0 = time.perf_counter()
     seeds: list[Perm] = []
@@ -842,10 +835,8 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     except BudgetExceeded as exc:
         nodes = exc.nodes
         cert = Certificate("unknown", budget_report={"stage": exc.what, "budget": exc.budget})
-    if cert.verdict != "unknown" and not verify_certificate(graph, cert):
-        raise RuntimeError("Cayley generators are not a regular group of automorphisms"
-                           if cert.verdict == "cayley" else
-                           "the orbit partition is not an equitable partition of the vertices")
+    if cert.verdict != "unknown":
+        raise_unless_verified(cert, verify_certificate(graph, cert))
     cert.nodes = nodes
     cert.millis = (time.perf_counter() - t0) * 1000
     return cert

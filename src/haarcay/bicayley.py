@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .graphs import haar_graph, right_translation_vertex_perm
+from .graphs import _vertex_perm, haar_graph, right_translation_vertex_perm
 from .groups import (
     GroupTable,
     generating_sequence,
@@ -66,23 +66,17 @@ class PartFixMap:
 
 
 def swap_vertex_perm(H: GroupTable, aut: Sequence[int], x: int, y: int) -> Perm:
-    n = H.order
-    images = [0] * (2 * n)
+    """The part-swapping map h_0 -> (x h^aut)_1, h_1 -> (y h^aut)_0, numbered
+    by ``graphs._vertex_perm``."""
     rx, ry = H.mult[x], H.mult[y]
-    for h in range(n):
-        images[h] = n + rx[aut[h]]
-        images[n + h] = ry[aut[h]]
-    return tuple(images)
+    return _vertex_perm(H.order, [rx[a] for a in aut], [ry[a] for a in aut], True)
 
 
 def fix_vertex_perm(H: GroupTable, aut: Sequence[int], g: int) -> Perm:
-    n = H.order
-    images = [0] * (2 * n)
+    """The part-fixing map h_0 -> (h^aut)_0, h_1 -> (g h^aut)_1, numbered by
+    ``graphs._vertex_perm``."""
     rg = H.mult[g]
-    for h in range(n):
-        images[h] = aut[h]
-        images[n + h] = n + rg[aut[h]]
-    return tuple(images)
+    return _vertex_perm(H.order, aut, [rg[a] for a in aut], False)
 
 
 def right_translation_group_perms(H: GroupTable) -> list[Perm]:

@@ -24,7 +24,7 @@ from .automorphisms import (
 )
 from .bicayley import BiCayleyHints, right_translation_group_perms
 from .graphs import (Graph, complete_bipartite, empty_graph, haar_graph, lex_product,
-                     verify_certificate)
+                     raise_unless_verified, verify_certificate)
 from .groups import (
     AutImages,
     GroupConstructionError,
@@ -249,9 +249,9 @@ def translate_free(Q: GroupTable, S: int) -> bool:
 
 def _intransitive(graph: Graph, orbits: list[list[int]]) -> bool:
     """Two or more orbits, which then pass the check as a non-Cayley certificate."""
-    cert = Certificate("non_cayley", orbit_partition=orbits)
-    if len(orbits) > 1 and not verify_certificate(graph, cert):
-        raise RuntimeError("the orbit partition is not an equitable partition of the vertices")
+    if len(orbits) > 1:
+        cert = Certificate("non_cayley", orbit_partition=orbits)
+        raise_unless_verified(cert, verify_certificate(graph, cert))
     return len(orbits) > 1
 
 
@@ -534,11 +534,7 @@ def inner_abelian_scan(max_order: int) -> list[dict]:
     if not 1 <= max_order <= _SCAN_ORDER_CAP:
         raise ValueError(f"max order {max_order} is outside the scan's range 1..{_SCAN_ORDER_CAP}")
     out = []
-    seen_tags = set()
     for H in constructor_catalog(max_order):
-        if H.tag in seen_tags:
-            continue
-        seen_tags.add(H.tag)
         inner = is_inner_abelian(H)
         member = inner_abelian_family_member(H) if inner else None
         if inner and member is None:

@@ -37,13 +37,9 @@ class Graph:
                 raise ValueError(f"row {v} has bits beyond the vertex range")
             if (row >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
-            w = row
-            while w:
-                low = w & -w
-                u = low.bit_length() - 1
+            for u in elements_of(row):
                 if not (self.rows[u] >> v) & 1:
                     raise ValueError(f"asymmetric edge {v}-{u}")
-                w ^= low
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -122,6 +118,15 @@ def verify_certificate(graph: Graph, cert) -> bool:
                 _is_equitable(graph, cert.orbit_partition)
         return cert.exhausted_search
     return False
+
+
+def raise_unless_verified(cert, verified: bool) -> None:
+    """The one raising exit of a definitive verdict: ``RuntimeError`` with the
+    message for its verdict unless ``verify_certificate`` passed it."""
+    if not verified:
+        raise RuntimeError("Cayley generators are not a regular group of automorphisms"
+                           if cert.verdict == "cayley" else
+                           "the orbit partition is not an equitable partition of the vertices")
 
 
 def _generates_regular(gens: Sequence[tuple[int, ...]], n: int) -> bool:
@@ -243,16 +248,18 @@ def haar_graph(H: GroupTable, S: int) -> tuple[Graph, BipartiteLabeling]:
     return bicayley_graph(H, 0, 0, S)
 
 
+def _vertex_perm(n: int, part0: Iterable[int], part1: Iterable[int], swap: bool) -> tuple[int, ...]:
+    """The bi-Cayley vertex map sending h_0 to element part0[h] and h_1 to
+    element part1[h], each in the other part when ``swap``, else in its own."""
+    to0, to1 = (n, 0) if swap else (0, n)
+    return tuple([to0 + x for x in part0] + [to1 + x for x in part1])
+
+
 def right_translation_vertex_perm(H: GroupTable, g: int) -> tuple[int, ...]:
     """h_i -> (hg)_i on the 2n bi-Cayley vertices; always an automorphism of
     every bi-Cayley graph of H."""
-    n = H.order
-    images = [0] * (2 * n)
-    for h in range(n):
-        hg = H.mult[h][g]
-        images[h] = hg
-        images[n + h] = n + hg
-    return tuple(images)
+    column = [row[g] for row in H.mult]
+    return _vertex_perm(H.order, column, column, False)
 
 
 def cayley_right_translation(H: GroupTable, g: int) -> tuple[int, ...]:

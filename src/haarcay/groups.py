@@ -39,7 +39,8 @@ class GroupTable:
     generators used by connection-set words.
     """
 
-    __slots__ = ("order", "mult", "inv", "gens", "tag", "_element_orders", "_aut_cache")
+    __slots__ = ("order", "mult", "inv", "gens", "tag", "_element_orders", "_aut_cache",
+                 "_aut_more_than")
 
     def __init__(self, mult: Sequence[Sequence[int]],
                  gens: Sequence[tuple[str, int]] = (),
@@ -51,6 +52,7 @@ class GroupTable:
         self.tag = tag
         self._element_orders: Optional[tuple[int, ...]] = None
         self._aut_cache: Optional[list[AutImages]] = None
+        self._aut_more_than = 0     # |Aut| is known to pass this (a refused size cap)
         inv = [-1] * self.order
         for x in range(self.order):
             row = self.mult[x]
@@ -65,8 +67,8 @@ class GroupTable:
             self.validate()
 
     def validate(self) -> None:
-        """Check the group axioms: Latin square, identity, inverses,
-        associativity (exact, by Light's test)."""
+        """Check the group axioms: Latin square, identity, associativity
+        (exact, by Light's test); ``__init__`` has found every inverse."""
         n = self.order
         if n < 1 or n > TABLE_ORDER_CAP:
             raise _order_error(n)
@@ -81,8 +83,6 @@ class GroupTable:
                 raise GroupConstructionError(f"multiplication table is not a Latin square at {x}")
             if self.mult[0][x] != x or self.mult[x][0] != x:
                 raise GroupConstructionError("element 0 is not an identity")
-            if self.mult[x][self.inv[x]] != 0:
-                raise GroupConstructionError(f"inverse table broken at {x}")
         # Light's test: the elements a with (x*a)*y = x*(a*y) for all x, y
         # are closed under products, so checking a generating set is exact;
         # for one a and x it compares row x*a with row x read through row a
@@ -395,15 +395,20 @@ def group_automorphisms(H: GroupTable) -> list[AutImages]:
     """All automorphisms of the group, cached on the table, sorted as
     ``_isomorphisms`` yields them: g_l is the least element outside
     <g_1..g_(l-1)>, so every position before it is fixed by the earlier
-    levels, and its candidates run in increasing order."""
+    levels, and its candidates run in increasing order.  A refusal for
+    ``AUT_SIZE_CAP`` is remembered on the table too, and repeated at once
+    while the cap is no higher."""
     if H._aut_cache is not None:
         return list(H._aut_cache)
     if H.order > AUT_TABLE_CAP:
         raise AutomorphismCapExceeded(f"automorphism search capped at order {AUT_TABLE_CAP}")
+    if AUT_SIZE_CAP <= H._aut_more_than:
+        raise AutomorphismCapExceeded("automorphism group larger than cap")
     found: list[AutImages] = []
     for images in _isomorphisms(H, H):
         found.append(images)
         if len(found) > AUT_SIZE_CAP:
+            H._aut_more_than = AUT_SIZE_CAP
             raise AutomorphismCapExceeded("automorphism group larger than cap")
     H._aut_cache = found
     return list(found)
@@ -805,13 +810,8 @@ def presented_group(ngens: int, relators: Sequence[str],
     gen_elems.append((labels[t], 1 % len(mult)))
     G = GroupTable(mult, gens=gen_elems, tag=f"Presented({','.join(labels)})")
 
-    concrete = [e for _, e in G.gens]
-    for w, raw in words:
-        acc_e = 0
-        for s in w:
-            e = concrete[abs(s) - 1]
-            acc_e = G.mult[acc_e][e if s > 0 else G.inv[e]]
-        if acc_e != 0:
+    for raw in relators:
+        if evaluate_word(G, raw) != 0:
             raise GroupConstructionError(f"relator inconsistency: {raw!r} does not hold")
     return G
 

@@ -84,6 +84,12 @@ def is_identity(p: Perm) -> bool:
     return p == tuple(range(len(p)))
 
 
+def _distinct(perms: Iterable[Perm]) -> list[Perm]:
+    """The permutations without repeats and without the identity, each at
+    its first place: the one dedupe of generator lists."""
+    return [q for q in dict.fromkeys(perms) if not is_identity(q)]
+
+
 def _schreier_tree(point: int, pairs: Sequence[tuple[Perm, Perm]],
                    identity: Perm) -> tuple[dict[int, Perm], dict[int, Perm]]:
     """The orbit of ``point`` under (generator, inverse) pairs, by
@@ -165,16 +171,10 @@ class PermGroup:
                  base_prefix: Sequence[int] = (), order: Optional[int] = None):
         self.degree = degree
         self._identity = identity_perm(degree)
-        gens = []
-        seen = set()
-        for g in generators:
-            g = tuple(g)
-            if len(g) != degree:
-                raise ValueError("generator degree mismatch")
-            if g != self._identity and g not in seen:
-                seen.add(g)
-                gens.append(g)
-        self.generators: list[Perm] = gens
+        gens = [tuple(g) for g in generators]
+        if any(len(g) != degree for g in gens):
+            raise ValueError("generator degree mismatch")
+        self.generators: list[Perm] = _distinct(gens)
         self._levels: list[_Level] = []
         self._build(base_prefix, order)
         if order is not None and self.order != order:
@@ -303,14 +303,7 @@ class PermGroup:
                          order=rebased.order // len(rebased._levels[0].transversal))
 
     def _strong_generators(self) -> list[Perm]:
-        seen = set()
-        out = []
-        for level in self._levels:
-            for g, _ in level.gens:
-                if g not in seen:
-                    seen.add(g)
-                    out.append(g)
-        return out
+        return _distinct(g for level in self._levels for g, _ in level.gens)
 
     def elements(self) -> Iterator[Perm]:
         """Every element exactly once, lazily, as the product of one

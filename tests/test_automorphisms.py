@@ -322,6 +322,17 @@ def test_regular_subgroup_in_cycle():
     assert res.group.order == 6 and res.group.is_regular()
 
 
+def test_regular_subgroup_of_a_disconnected_graph():
+    """Two disjoint pentagons: the breadth-first walk reaches one C5 from 0
+    and appends the unreached vertices in increasing order; the search
+    then finds Z5 x Z2 in 14 nodes."""
+    g = disjoint_union([cycle_graph(5)] * 2)
+    assert automorphisms._bfs_vertex_order(g) == [0, 1, 4, 2, 3, 5, 6, 7, 8, 9]
+    res = regular_subgroup_search(g, automorphism_group(g))
+    assert res.generators is not None and res.nodes == 14
+    assert _generates_regular(res.generators, g.n)
+
+
 def test_seeds_with_images_outside_the_graph_are_refused():
     with pytest.raises(ValueError, match="not an automorphism"):
         automorphism_group(cycle_graph(3), seeds=[(5, 1, 2)])

@@ -483,6 +483,13 @@ def test_inner_abelian_scan_at_its_cap():
     assert [r for r in rows if r["order"] <= 30] == inner_abelian_scan(30)
 
 
+def test_catalog_tags_are_distinct_up_to_the_scan_cap():
+    """The inner-abelian scan keeps one row per catalog group, so it
+    relies on every group of ``constructor_catalog(100)`` having its own tag."""
+    tags = [H.tag for H in constructor_catalog(100)]
+    assert len(tags) == len(set(tags)) == 198
+
+
 def test_family_member_predicate_matches_oracle():
     for H in constructor_catalog(16):
         member = inner_abelian_family_member(H)

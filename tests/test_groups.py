@@ -404,6 +404,15 @@ def test_presented_inconsistency_raises():
     assert presented_group(2, ["xx", "yy", "Yxyx"]).order == 4
 
 
+def test_relators_are_rechecked_on_the_finished_table(monkeypatch):
+    """With the conjugation action replaced by the trivial one, A4's table
+    is Z2 x Z2 x Z3, and the first relator it breaks is named."""
+    monkeypatch.setattr(groups, "_action_powers",
+                        lambda codec, images, count: [list(range(codec.size))] * (count + 1))
+    with pytest.raises(GroupConstructionError, match="relator inconsistency: 'Zxzy' does not hold"):
+        group_from_spec(A4_SPEC)
+
+
 def test_miller_moreno_action_is_fixed_point_free_order_q():
     for (p, n, q, m) in [(2, 2, 3, 1), (5, 1, 2, 2), (2, 3, 7, 1), (3, 1, 2, 1)]:
         H = miller_moreno_group(p, n, q, m)
@@ -428,6 +437,24 @@ def test_automorphism_search_cap():
     big = miller_moreno_group(2, 5, 31, 1)  # order 992 exceeds the cap
     with pytest.raises(ValueError, match="capped"):
         group_automorphisms(big)
+
+
+def test_a_size_cap_refusal_is_remembered_on_the_table(monkeypatch):
+    """Z2^3 has 168 automorphisms: under a cap of 10 the second call on the
+    same table refuses without listing them again."""
+    listings = []
+
+    def counting(G, H):
+        listings.append(G)
+        return _isomorphisms(G, H)
+
+    monkeypatch.setattr(groups, "AUT_SIZE_CAP", 10)
+    monkeypatch.setattr(groups, "_isomorphisms", counting)
+    H = direct_product([cyclic_group(2)] * 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="larger than cap"):
+            group_automorphisms(H)
+    assert len(listings) == 1
 
 
 def test_automorphism_group_sizes():

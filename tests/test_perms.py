@@ -55,6 +55,11 @@ def test_perm_primitives():
     assert is_identity(identity_perm(5))
 
 
+def test_generator_of_another_degree_is_refused():
+    with pytest.raises(ValueError, match="generator degree mismatch"):
+        PermGroup(3, [(0, 1)])
+
+
 def test_symmetric_group_order():
     for n in (3, 4, 5, 6, 13):
         G = PermGroup(n, sym_gens(n))
