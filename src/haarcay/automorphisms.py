@@ -77,7 +77,7 @@ from .bicayley import (
     cayley_certificate_from_swaps,
     right_translation_group_perms,
 )
-from .graphs import Graph, components, haar_graph, raise_unless_verified, verify_certificate
+from .graphs import Graph, _failed_check, components, haar_graph, verify_certificate
 from .groups import AutomorphismCapExceeded, _dimino_closure, elements_of, mask_of
 from .perms import (BudgetExceeded, Perm, PermGroup, _distinct, _Meter, _OrbitCache,
                     _schreier_tree, identity_perm, pinv, pmul)
@@ -780,10 +780,9 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
 
     Every source hands the one Cayley exit a plain generator list; only
     ``swap_witness`` tells which.  Every definitive certificate passes
-    ``verify_certificate`` before it is returned, or ``raise_unless_verified``
-    raises ``RuntimeError``.  Unknown only on budget exhaustion, with the
-    nodes searched.  Hints whose Haar graph is not the graph given raise
-    ``ValueError``.
+    ``verify_certificate`` before it is returned, or ``RuntimeError`` is
+    raised.  Unknown only on budget exhaustion, with the nodes searched.
+    Hints whose Haar graph is not the graph given raise ``ValueError``.
     """
     t0 = time.perf_counter()
     seeds: list[Perm] = []
@@ -835,8 +834,8 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     except BudgetExceeded as exc:
         nodes = exc.nodes
         cert = Certificate("unknown", budget_report={"stage": exc.what, "budget": exc.budget})
-    if cert.verdict != "unknown":
-        raise_unless_verified(cert, verify_certificate(graph, cert))
+    if cert.verdict != "unknown" and not verify_certificate(graph, cert):
+        raise _failed_check(cert.verdict)
     cert.nodes = nodes
     cert.millis = (time.perf_counter() - t0) * 1000
     return cert

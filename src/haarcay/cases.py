@@ -23,8 +23,8 @@ from .automorphisms import (
     cayley_status,
 )
 from .bicayley import BiCayleyHints, right_translation_group_perms
-from .graphs import (Graph, complete_bipartite, empty_graph, haar_graph, lex_product,
-                     raise_unless_verified, verify_certificate)
+from .graphs import (Graph, _failed_check, complete_bipartite, empty_graph, haar_graph,
+                     lex_product, verify_certificate)
 from .groups import (
     AutImages,
     GroupConstructionError,
@@ -249,9 +249,9 @@ def translate_free(Q: GroupTable, S: int) -> bool:
 
 def _intransitive(graph: Graph, orbits: list[list[int]]) -> bool:
     """Two or more orbits, which then pass the check as a non-Cayley certificate."""
-    if len(orbits) > 1:
-        cert = Certificate("non_cayley", orbit_partition=orbits)
-        raise_unless_verified(cert, verify_certificate(graph, cert))
+    cert = Certificate("non_cayley", orbit_partition=orbits)
+    if len(orbits) > 1 and not verify_certificate(graph, cert):
+        raise _failed_check(cert.verdict)
     return len(orbits) > 1
 
 

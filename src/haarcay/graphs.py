@@ -120,13 +120,12 @@ def verify_certificate(graph: Graph, cert) -> bool:
     return False
 
 
-def raise_unless_verified(cert, verified: bool) -> None:
-    """The one raising exit of a definitive verdict: ``RuntimeError`` with the
-    message for its verdict unless ``verify_certificate`` passed it."""
-    if not verified:
-        raise RuntimeError("Cayley generators are not a regular group of automorphisms"
-                           if cert.verdict == "cayley" else
-                           "the orbit partition is not an equitable partition of the vertices")
+def _failed_check(verdict: str) -> RuntimeError:
+    """The error raised for a definitive verdict whose certificate
+    ``verify_certificate`` refused."""
+    return RuntimeError("Cayley generators are not a regular group of automorphisms"
+                        if verdict == "cayley" else
+                        "the orbit partition is not an equitable partition of the vertices")
 
 
 def _generates_regular(gens: Sequence[tuple[int, ...]], n: int) -> bool:

@@ -39,8 +39,7 @@ class GroupTable:
     generators used by connection-set words.
     """
 
-    __slots__ = ("order", "mult", "inv", "gens", "tag", "_element_orders", "_aut_cache",
-                 "_aut_more_than")
+    __slots__ = ("order", "mult", "inv", "gens", "tag", "_element_orders", "_aut_cache")
 
     def __init__(self, mult: Sequence[Sequence[int]],
                  gens: Sequence[tuple[str, int]] = (),
@@ -52,7 +51,6 @@ class GroupTable:
         self.tag = tag
         self._element_orders: Optional[tuple[int, ...]] = None
         self._aut_cache: Optional[list[AutImages]] = None
-        self._aut_more_than = 0     # |Aut| is known to pass this (a refused size cap)
         inv = [-1] * self.order
         for x in range(self.order):
             row = self.mult[x]
@@ -395,20 +393,15 @@ def group_automorphisms(H: GroupTable) -> list[AutImages]:
     """All automorphisms of the group, cached on the table, sorted as
     ``_isomorphisms`` yields them: g_l is the least element outside
     <g_1..g_(l-1)>, so every position before it is fixed by the earlier
-    levels, and its candidates run in increasing order.  A refusal for
-    ``AUT_SIZE_CAP`` is remembered on the table too, and repeated at once
-    while the cap is no higher."""
+    levels, and its candidates run in increasing order."""
     if H._aut_cache is not None:
         return list(H._aut_cache)
     if H.order > AUT_TABLE_CAP:
         raise AutomorphismCapExceeded(f"automorphism search capped at order {AUT_TABLE_CAP}")
-    if AUT_SIZE_CAP <= H._aut_more_than:
-        raise AutomorphismCapExceeded("automorphism group larger than cap")
     found: list[AutImages] = []
     for images in _isomorphisms(H, H):
         found.append(images)
         if len(found) > AUT_SIZE_CAP:
-            H._aut_more_than = AUT_SIZE_CAP
             raise AutomorphismCapExceeded("automorphism group larger than cap")
     H._aut_cache = found
     return list(found)

@@ -439,24 +439,6 @@ def test_automorphism_search_cap():
         group_automorphisms(big)
 
 
-def test_a_size_cap_refusal_is_remembered_on_the_table(monkeypatch):
-    """Z2^3 has 168 automorphisms: under a cap of 10 the second call on the
-    same table refuses without listing them again."""
-    listings = []
-
-    def counting(G, H):
-        listings.append(G)
-        return _isomorphisms(G, H)
-
-    monkeypatch.setattr(groups, "AUT_SIZE_CAP", 10)
-    monkeypatch.setattr(groups, "_isomorphisms", counting)
-    H = direct_product([cyclic_group(2)] * 3)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="larger than cap"):
-            group_automorphisms(H)
-    assert len(listings) == 1
-
-
 def test_automorphism_group_sizes():
     assert len(group_automorphisms(cyclic_group(5))) == 4
     v4 = direct_product([cyclic_group(2), cyclic_group(2)])
