@@ -78,7 +78,7 @@ from .bicayley import (
     right_translation_group_perms,
 )
 from .graphs import Graph, _failed_check, components, haar_graph, verify_certificate
-from .groups import AutomorphismCapExceeded, _dimino_closure, elements_of, mask_of
+from .groups import _dimino_closure, elements_of, mask_of
 from .perms import (BudgetExceeded, Perm, PermGroup, _distinct, _Meter, _OrbitCache,
                     _schreier_tree, identity_perm, pinv, pmul)
 
@@ -764,9 +764,9 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
     vertex-transitivity (intransitive means NonCayley); then, when provenance
     hints are present, the part-swap certificate (the right translations and
     a part-swapping map whose square is a translation); without one (no
-    hints, no usable swap, or a group whose automorphisms are over the caps
-    of ``group_automorphisms``) the regular stage, one recursion over the
-    levels of that search's result, with no second search.  A level sees
+    hints, no usable swap, or a swap search past its node budget) the
+    regular stage, one recursion over the levels of that search's result,
+    with no second search.  A level sees
     the graph as m-member fibres over a smaller graph Z: a twin level over
     its quotient; a part level, whose parts are isomorphic on a
     vertex-transitive graph, over its first part, each fibre running
@@ -818,10 +818,7 @@ def cayley_status(graph: Graph, hints: Optional[BiCayleyHints] = None,
         if len(aut.orbits) > 1:
             cert = Certificate("non_cayley", orbit_partition=aut.orbits)
         else:
-            try:
-                swap = hints and cayley_certificate_from_swaps(hints.table, hints.spokes)
-            except AutomorphismCapExceeded:     # no Aut(H) to draw a swap from
-                swap = None
+            swap = hints and cayley_certificate_from_swaps(hints.table, hints.spokes)
             gens, exhausted = (swap[0], True) if swap else regular(graph, aut)
             if gens is not None:
                 cert = Certificate("cayley", regular_generators=list(gens),

@@ -12,29 +12,31 @@ that.  A part-swapping map proves vertex-transitivity, and one whose square
 is a right translation yields a regular subgroup of order 2|H|, i.e. a
 Cayley certificate.
 
-Both families are found by lookup: the translates g^-1 S (n masks) and
-y^-1 S^-1 x (n^2 masks) are indexed once, in key order, and S^a is looked up
-once per a in Aut(H), in sorted order.  One lazy matcher yields the maps in
-(aut images, key) order, each built and checked by explicit edge preservation
-only when it is reached.  The public lists take every map; the certificates
-stop at the first usable one, so they build no map they do not need.
+Both families come from one set-transporter search: the translates g^-1 S
+(n masks) and y^-1 S^-1 x (n^2 masks) are indexed once, in key order, and
+the backtrack of ``groups._isomorphisms`` over Aut(H), in sorted order,
+prunes every partial map that sends S to none of them.  One lazy matcher
+yields the maps in (aut images, key) order, each edge-checked when reached.
+The lists raise ``BudgetExceeded`` past ``groups.AUT_SIZE_CAP`` nodes; the
+certificates stop at the first usable map, and find none past that budget.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from . import groups
 from .graphs import _vertex_perm, haar_graph, right_translation_vertex_perm
 from .groups import (
     GroupTable,
     generating_sequence,
-    group_automorphisms,
     inverse_mask,
     left_translate_mask,
     mask_image,
 )
-from .perms import Perm, PermGroup, pmul
+from .perms import BudgetExceeded, Perm, PermGroup, _Meter, pmul
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,9 @@ def _matching_maps(H: GroupTable, S: int, translates: dict[int, list[tuple]],
     each verified edge-preserving; in (aut images, key) order when every
     index list is appended in key order."""
     graph, _ = haar_graph(H, S)
-    for aut in group_automorphisms(H):
-        for key in translates.get(mask_image(S, aut), ()):
+    meter = _Meter("part-map search", groups.AUT_SIZE_CAP)
+    for aut in groups._isomorphisms(H, H, S, list(translates), meter):
+        for key in translates[mask_image(S, aut)]:
             perm = vertex_perm(H, aut, *key)
             if not graph.is_automorphism(perm):
                 raise RuntimeError(f"{kind.__name__} failed edge check")
@@ -181,8 +184,9 @@ def cayley_certificate_from_swaps(H: GroupTable, S: int) -> Optional[tuple[list[
     R is transitive on each part and m swaps them, so the group is
     transitive on 2|H| vertices, hence regular.  Absence of this
     certificate says nothing about Cayley-ness."""
-    for m in _swap_maps(H, S):
-        square = pmul(m.perm, m.perm)
-        if square == right_translation_vertex_perm(H, square[0]):
-            return right_translation_group_perms(H) + [m.perm], m.witness()
+    with suppress(BudgetExceeded):
+        for m in _swap_maps(H, S):
+            square = pmul(m.perm, m.perm)
+            if square == right_translation_vertex_perm(H, square[0]):
+                return right_translation_group_perms(H) + [m.perm], m.witness()
     return None

@@ -15,8 +15,10 @@ import re
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .perms import _Meter
+
 AUT_TABLE_CAP = 200            # automorphism search refuses larger tables
-AUT_SIZE_CAP = 10 ** 6         # ... and refuses to return more maps than this
+AUT_SIZE_CAP = 10 ** 6         # ... or more maps than this; the part-map search's nodes
 TABLE_ORDER_CAP = 1024
 
 AutImages = tuple  # length-order tuple: images of a group automorphism
@@ -24,11 +26,6 @@ AutImages = tuple  # length-order tuple: images of a group automorphism
 
 class GroupConstructionError(ValueError):
     """A family constraint or presentation relator was violated."""
-
-
-class AutomorphismCapExceeded(ValueError):
-    """``group_automorphisms`` refused a group: its table, or its list of
-    automorphisms, is over the cap."""
 
 
 class GroupTable:
@@ -346,23 +343,35 @@ def _generator_walk(G: GroupTable) -> tuple[list[int], list[tuple[list, list]]]:
     return gens, levels
 
 
-def _isomorphisms(G: GroupTable, H: GroupTable) -> Iterator[tuple[int, ...]]:
-    """Every isomorphism G -> H (tables of equal order) as an image table.
+def _isomorphisms(G: GroupTable, H: GroupTable, S: int = 0, targets: Sequence[int] = (0,),
+                  meter: Optional[_Meter] = None) -> Iterator[tuple[int, ...]]:
+    """Every isomorphism a: G -> H (tables of equal order) with S^a among the
+    subsets ``targets`` of H, by default every one, as an image table.
     Backtracks over the images of a generating sequence of G, candidates of
     the right element order in increasing order.  A choice for g_l extends
     the images along the steps of ``_generator_walk`` and survives when no
     two elements share an image and every check holds: a map that respects
     x -> x*h for every generator h respects every product, so the survivors
-    are exactly the injective homomorphisms on <g_1..g_l>."""
+    are exactly the injective homomorphisms on <g_1..g_l>.  A mask of the
+    targets T consistent so far (z in S iff img z in T, for z assigned) prunes
+    when empty (Leon, J. Symb. Comput. 12, 1991); ``meter`` counts candidates."""
     gens, levels = _generator_walk(G)
     by_order: dict[int, list[int]] = {}
     for e in range(H.order):
         by_order.setdefault(H.element_order(e), []).append(e)
     cands = [by_order.get(G.element_order(g), []) for g in gens]
+    targets = [T for T in targets if not (T ^ S) & 1]   # 0 -> 0: 0 in T iff 0 in S
+    rows = [bytearray(len(targets) // 8 + 1) for _ in range(H.order)]
+    for i, T in enumerate(targets):
+        for e in elements_of(T):
+            rows[e][i >> 3] |= 1 << (i & 7)
+    inside = [int.from_bytes(row, "little") for row in rows]   # targets holding e
+    outside = [m ^ ((1 << len(targets)) - 1) for m in inside]
+    fits = [inside if (S >> z) & 1 else outside for z in range(G.order)]
     hm = H.mult
     img = [0] * G.order  # each level writes only its own elements
 
-    def extend(level: int, used: int) -> Iterator[tuple[int, ...]]:
+    def extend(level: int, used: int, live: int) -> Iterator[tuple[int, ...]]:
         if level == len(gens):
             yield tuple(img)
             return
@@ -371,22 +380,27 @@ def _isomorphisms(G: GroupTable, H: GroupTable) -> Iterator[tuple[int, ...]]:
         for cand in cands[level]:
             if (used >> cand) & 1:
                 continue
+            if meter is not None:
+                meter.charge()
             img[g] = cand
             now = used | (1 << cand)
+            keep = live & fits[g][cand]
             for z, x, h in steps:
                 iz = hm[img[x]][img[h]]
-                if (now >> iz) & 1:
+                if not keep or (now >> iz) & 1:
                     break
                 img[z] = iz
                 now |= 1 << iz
+                keep &= fits[z][iz]
             else:
                 for z, x, h in checks:
                     if img[z] != hm[img[x]][img[h]]:
                         break
                 else:
-                    yield from extend(level + 1, now)
+                    if keep:
+                        yield from extend(level + 1, now, keep)
 
-    return extend(0, 1)
+    return extend(0, 1, fits[0][0]) if fits[0][0] else iter(())
 
 
 def group_automorphisms(H: GroupTable) -> list[AutImages]:
@@ -397,12 +411,12 @@ def group_automorphisms(H: GroupTable) -> list[AutImages]:
     if H._aut_cache is not None:
         return list(H._aut_cache)
     if H.order > AUT_TABLE_CAP:
-        raise AutomorphismCapExceeded(f"automorphism search capped at order {AUT_TABLE_CAP}")
+        raise ValueError(f"automorphism search capped at order {AUT_TABLE_CAP}")
     found: list[AutImages] = []
     for images in _isomorphisms(H, H):
         found.append(images)
         if len(found) > AUT_SIZE_CAP:
-            raise AutomorphismCapExceeded("automorphism group larger than cap")
+            raise ValueError("automorphism group larger than cap")
     H._aut_cache = found
     return list(found)
 

@@ -136,6 +136,33 @@ def brute_force_part_maps(H: GroupTable, S: int, auts) -> tuple[list, list]:
     return fix, swap
 
 
+def reference_part_maps(H: GroupTable, S: int) -> tuple[list, list]:
+    """The maps of ``brute_force_part_maps``, in its format and order, by the
+    list-then-filter lookup that predates the pruned search: the translates
+    g^-1 S and y^-1 S^-1 x are indexed in key order, and S^a is looked up
+    for every a in the full sorted list of ``group_automorphisms``."""
+    n = H.order
+    mul = H.mult
+    fix_index: dict[int, list] = {}
+    swap_index: dict[int, list] = {}
+    for g in range(n):
+        fix_index.setdefault(left_translate_mask(H, H.inv[g], S), []).append(g)
+    s_inv = inverse_mask(H, S)
+    for x in range(n):
+        for y in range(n):
+            mask = mask_of(mul[mul[H.inv[y]][s]][x] for s in elements_of(s_inv))
+            swap_index.setdefault(mask, []).append((x, y))
+    fix, swap = [], []
+    for a in group_automorphisms(H):
+        image = mask_image(S, a)
+        for g in fix_index.get(image, ()):
+            fix.append((a, g, tuple(a) + tuple(n + mul[g][a[h]] for h in range(n))))
+        for x, y in swap_index.get(image, ()):
+            swap.append((a, x, y, tuple(n + mul[x][a[h]] for h in range(n)) +
+                         tuple(mul[y][a[h]] for h in range(n))))
+    return fix, swap
+
+
 def reference_class(H: GroupTable, S: int) -> set[int]:
     """The equivalence class of the anchored spoke set S: its closure under
     every automorphism of H, inversion, and the re-anchored left translates

@@ -28,7 +28,7 @@ from haarcay.groups import (
 )
 from haarcay.perms import PermGroup, identity_perm, pinv, pmul
 
-from oracles import brute_force_part_maps
+from oracles import brute_force_part_maps, reference_part_maps
 
 A4_SPEC = {
     "family": "Presented",
@@ -260,8 +260,26 @@ def test_translation_perms_generate_order_h():
         assert G.contains(right_translation_vertex_perm(H, 5 % H.order))
 
 
+def _assert_part_maps(H, S, fix, swap) -> bool:
+    """The part maps and the swap certificate of H and S are exactly those of
+    the reference lists ``fix`` and ``swap``, in their order, and |I| is 0
+    or |H|*|F|; returns whether any part swap exists."""
+    assert [(m.aut, m.g, m.perm) for m in part_fix_maps(H, S)] == fix, (H.tag, S)
+    assert [(m.aut, m.x, m.y, m.perm) for m in part_swap_maps(H, S)] == swap, (H.tag, S)
+    assert len(swap) in (0, H.order * len(fix)), (H.tag, S)
+    usable = [(a, x, y) for a, x, y, perm in swap
+              if pmul(perm, perm) == right_translation_vertex_perm(H, perm[perm[0]])]
+    cert = cayley_certificate_from_swaps(H, S)
+    if usable:
+        a, x, y = usable[0]
+        assert cert[1] == {"kind": "part_swap", "aut": list(a), "x": x, "y": y}, (H.tag, S)
+    else:
+        assert cert is None, (H.tag, S)
+    return bool(swap)
+
+
 def test_part_maps_match_brute_force_scan():
-    """The translate lookup finds exactly the maps of the naive Aut(H) x H
+    """The pruned search finds exactly the maps of the naive Aut(H) x H
     and Aut(H) x H x H scans, in the same order, and |I| is 0 or |H|*|F|."""
     rng = random.Random(29)
     instances = []
@@ -276,18 +294,32 @@ def test_part_maps_match_brute_force_scan():
         instances.append((H, 0))
     unanchored = with_swaps = 0
     for H, S in instances:
-        fix, swap = brute_force_part_maps(H, S, group_automorphisms(H))
-        assert [(m.aut, m.g, m.perm) for m in part_fix_maps(H, S)] == fix, (H.tag, S)
-        assert [(m.aut, m.x, m.y, m.perm) for m in part_swap_maps(H, S)] == swap, (H.tag, S)
-        assert len(swap) in (0, H.order * len(fix)), (H.tag, S)
-        usable = [(a, x, y) for a, x, y, perm in swap
-                  if pmul(perm, perm) == right_translation_vertex_perm(H, perm[perm[0]])]
-        cert = cayley_certificate_from_swaps(H, S)
-        if usable:
-            a, x, y = usable[0]
-            assert cert[1] == {"kind": "part_swap", "aut": list(a), "x": x, "y": y}, (H.tag, S)
-        else:
-            assert cert is None, (H.tag, S)
+        with_swaps += _assert_part_maps(H, S, *brute_force_part_maps(H, S, group_automorphisms(H)))
         unanchored += not S & 1
-        with_swaps += bool(swap)
     assert unanchored >= 8 and 0 < with_swaps < len(instances)
+
+
+STATUS_GROUPS = [  # the groups of perfbench's status workload, orders 16-36
+    {"family": "MpMN1", "p": 3, "m": 1, "n": 1},
+    {"family": "MpMN1", "p": 2, "m": 2, "n": 2},
+    {"family": "DirectProduct", "factors": [{"family": "Quaternion"}, {"family": "Cyclic", "n": 2}]},
+    {"family": "DirectProduct", "factors": [{"family": "Cyclic", "n": 2}, {"family": "Cyclic", "n": 2},
+                                            {"family": "Cyclic", "n": 4}]},
+    {"family": "MillerMoreno", "p": 2, "n": 2, "q": 3, "m": 2},
+    {"family": "Dihedral", "n": 8},
+]
+
+
+def test_part_maps_match_the_listing_reference_past_brute_force_reach():
+    """Past the orders brute force can scan, the pruned search agrees with
+    the list-then-filter reference on seeded spoke sets of sizes 3 to 6,
+    sets of MillerMoreno(2,2,3,2) with no part swap among them."""
+    without_swaps = set()
+    for spec in STATUS_GROUPS:
+        H = group_from_spec(spec)
+        rng = random.Random(H.tag)
+        for size in (3, 4, 5, 6):
+            S = mask_of(rng.sample(range(H.order), size))
+            if not _assert_part_maps(H, S, *reference_part_maps(H, S)):
+                without_swaps.add(H.tag)
+    assert "MillerMoreno(2,2,3,2)" in without_swaps

@@ -725,28 +725,39 @@ def test_cli_aut_malformed_edge_list_exits_2_with_one_line(text, tmp_path, capsy
         assert "line 3" in captured.err and "repeated edge" in captured.err
 
 
-def test_cli_hinted_status_over_the_automorphism_table_cap_is_decided(capsys):
-    """Cyclic(201) is over ``AUT_TABLE_CAP``, so ``group_automorphisms``
-    refuses it and no part-swap certificate can be drawn; hinted status
-    goes on to the regular stage instead of reporting bad input."""
+_Z2_5 = {"family": "DirectProduct", "factors": [{"family": "Cyclic", "n": 2}] * 5}
+
+
+@pytest.mark.parametrize("group, words", [("Cyclic(201)", "1,a"), (json.dumps(_Z2_5), "1,a1,a2")],
+                         ids=["Cyclic(201)", "Z2^5"])
+def test_cli_hinted_status_finds_a_swap_past_the_automorphism_caps(group, words, capsys):
+    """Cyclic(201) is over ``AUT_TABLE_CAP`` and Z2^5 has more than
+    ``AUT_SIZE_CAP`` automorphisms, so ``group_automorphisms`` refuses
+    both; the pruned swap search lists none of them and finds a part swap
+    whose square is a translation in a few nodes (listing Z2^5's first 10^6
+    automorphisms took seconds)."""
     from haarcay.cli import main
-    assert main(["status", "Cyclic(201)", "--set", "1,a"]) == 0
+    t0 = time.process_time()
+    assert main(["status", group, "--set", words]) == 0
+    assert time.process_time() - t0 < 0.5
     out = json.loads(capsys.readouterr().out)
-    assert out["verdict"] == "cayley" and out.get("swap_witness") is None
-    H = cyclic_group(201)
-    graph, _ = haar_graph(H, connection_set(H, "1,a"))
+    assert out["verdict"] == "cayley" and out["swap_witness"]["kind"] == "part_swap"
+    H = group_from_spec(json.loads(group)) if group.startswith("{") else cyclic_group(201)
+    graph, _ = haar_graph(H, connection_set(H, words))
     cert = Certificate("cayley", regular_generators=[tuple(p) for p in out["regular_generators"]])
     assert verify_certificate(graph, cert)
 
 
 def test_hinted_status_over_the_automorphism_size_cap_is_decided(monkeypatch):
-    """Z2^3 has 168 automorphisms; with ``AUT_SIZE_CAP`` lowered to 10,
-    ``group_automorphisms`` still refuses a direct caller, and hinted
-    status skips the part-swap certificate for the regular stage.  With the
-    cap restored, the certificate is found."""
+    """With ``AUT_SIZE_CAP`` lowered to 10, ``group_automorphisms`` refuses
+    Cyclic(13), which has 12 automorphisms, and the swap search, whose node
+    budget is that cap, runs out on {1, a, a^3}: its only part swaps come
+    from inversion, the 12th candidate image of a.  Hinted status then has
+    no part-swap certificate, and the regular stage decides.  With the cap
+    restored, the certificate is found."""
     from haarcay import groups
-    H = group_from_spec({"family": "DirectProduct", "factors": [{"family": "Cyclic", "n": 2}] * 3})
-    S = connection_set(H, "1,a1,a2")
+    H = cyclic_group(13)
+    S = connection_set(H, "1,a,a3")
     graph, _ = haar_graph(H, S)
     with monkeypatch.context() as m:
         m.setattr(groups, "AUT_SIZE_CAP", 10)

@@ -29,6 +29,7 @@ from haarcay.groups import (
     is_group_automorphism,
     is_inner_abelian,
     is_normal_subgroup,
+    mask_image,
     mask_of,
     miller_moreno_group,
     mp1_group,
@@ -38,6 +39,7 @@ from haarcay.groups import (
     quotient,
     subgroup_generated,
 )
+from haarcay.perms import _Meter
 
 from oracles import (
     all_subgroups,
@@ -349,6 +351,25 @@ def test_isomorphisms_onto_a_relabelled_copy():
         auts = group_automorphisms(H)
         assert len(isos) == len(auts), H.tag
         assert set(isos) == {tuple(sigma[a[x]] for x in range(n)) for a in auts}, H.tag
+
+
+def test_isomorphisms_with_targets_are_the_filtered_list():
+    """Given a set S and target sets, the backtrack yields exactly the
+    automorphisms a with S^a among the targets, in the order of the full
+    list, and its meter counts no more candidates than the unpruned walk."""
+    rng = random.Random(13)
+    for H in constructor_catalog(10):
+        auts = group_automorphisms(H)
+        for _ in range(4):
+            S = mask_of(rng.sample(range(H.order), rng.randint(0, H.order)))
+            targets = [mask_image(S, rng.choice(auts)), rng.getrandbits(H.order)]
+            pruned, full = _Meter("pruned", 10 ** 6), _Meter("full", 10 ** 6)
+            found = list(_isomorphisms(H, H, S, targets, pruned))
+            assert found == [a for a in auts if mask_image(S, a) in targets], (H.tag, S)
+            assert list(_isomorphisms(H, H, meter=full)) == auts
+            assert 0 < pruned.nodes <= full.nodes or H.order == 1
+    trivial = cyclic_group(1)
+    assert list(_isomorphisms(trivial, trivial, 1, [0])) == []
 
 
 # the six groups of order 16-36 behind the benchmark's status workload, with
