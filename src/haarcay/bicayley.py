@@ -2,23 +2,25 @@
 
 Beyond the right translations h_i -> (hg)_i, a Haar graph of H with spoke set
 S carries two families of candidate automorphisms built from group
-automorphisms: part-swapping maps h_0 -> (x h^a)_1, h_1 -> (y h^a)_0 (an
-automorphism exactly when S^a = y^-1 S^-1 x) and part-fixing maps
-h_0 -> (h^a)_0, h_1 -> (g h^a)_1 (an automorphism exactly when S^a = g^-1 S).
+automorphisms: part-fixing maps h_0 -> (h^a)_0, h_1 -> (g h^a)_1 (an
+automorphism exactly when S^a = g^-1 S) and part-swapping maps
+h_0 -> (h^a)_1, h_1 -> (y h^a)_0 (exactly when S^a = y^-1 S^-1); every other
+part swap, h_0 -> (x h^a)_1, is a right translation followed by one of these.
 The part-fixing maps that qualify form a group F; together with the right
 translations (and one part-swapping map when any exists) they generate the
-normalizer of the translation group inside Aut, of order |R(H)|*|F| or twice
-that.  A part-swapping map proves vertex-transitivity, and one whose square
-is a right translation yields a regular subgroup of order 2|H|, i.e. a
-Cayley certificate.
+normalizer of the translation group inside Aut (Zhou & Feng, JCTB 116, 2016),
+of order |R(H)|*|F| or twice that.  A part-swapping map proves
+vertex-transitivity, and one whose square is a right translation yields a
+regular subgroup of order 2|H|, i.e. a Cayley certificate.
 
-Both families come from one set-transporter search: the translates g^-1 S
-(n masks) and y^-1 S^-1 x (n^2 masks) are indexed once, in key order, and
-the backtrack of ``groups._isomorphisms`` over Aut(H), in sorted order,
-prunes every partial map that sends S to none of them.  One lazy matcher
-yields the maps in (aut images, key) order, each edge-checked when reached.
-The lists raise ``BudgetExceeded`` past ``groups.AUT_SIZE_CAP`` nodes; the
-certificates stop at the first usable map, and find none past that budget.
+Both families come from one set-transporter search: the n left translates
+g^-1 U, U = S for the part-fixing maps and U = S^-1 for the part swaps, are
+indexed in g order, and the backtrack of ``groups._isomorphisms`` over
+Aut(H), in sorted order, prunes every partial map that sends S to none of
+them.  One lazy matcher yields the maps in (aut images, g) order, each
+edge-checked when reached.  The lists raise ``BudgetExceeded`` past
+``groups.AUT_SIZE_CAP`` nodes; the certificates stop at the first usable
+map, and find none past that budget.
 """
 
 from __future__ import annotations
@@ -48,14 +50,14 @@ class BiCayleyHints:
 
 @dataclass(frozen=True)
 class PartSwapMap:
-    """h_0 -> (x h^aut)_1 and h_1 -> (y h^aut)_0; swaps the two parts."""
+    """h_0 -> (h^aut)_1 and h_1 -> (y h^aut)_0; swaps the two parts and
+    sends 1_0 to 1_1."""
     aut: tuple
-    x: int
     y: int
     perm: Perm
 
     def witness(self) -> dict:
-        return {"kind": "part_swap", "aut": list(self.aut), "x": self.x, "y": self.y}
+        return {"kind": "part_swap", "aut": list(self.aut), "y": self.y}
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,11 @@ class PartFixMap:
     perm: Perm
 
 
-def swap_vertex_perm(H: GroupTable, aut: Sequence[int], x: int, y: int) -> Perm:
-    """The part-swapping map h_0 -> (x h^aut)_1, h_1 -> (y h^aut)_0, numbered
+def swap_vertex_perm(H: GroupTable, aut: Sequence[int], y: int) -> Perm:
+    """The part-swapping map h_0 -> (h^aut)_1, h_1 -> (y h^aut)_0, numbered
     by ``graphs._vertex_perm``."""
-    rx, ry = H.mult[x], H.mult[y]
-    return _vertex_perm(H.order, [rx[a] for a in aut], [ry[a] for a in aut], True)
+    ry = H.mult[y]
+    return _vertex_perm(H.order, aut, [ry[a] for a in aut], True)
 
 
 def fix_vertex_perm(H: GroupTable, aut: Sequence[int], g: int) -> Perm:
@@ -88,46 +90,40 @@ def right_translation_group_perms(H: GroupTable) -> list[Perm]:
     return [right_translation_vertex_perm(H, g) for g in generating_sequence(H)]
 
 
-def _matching_maps(H: GroupTable, S: int, translates: dict[int, list[tuple]],
-                   kind, vertex_perm) -> Iterator:
-    """Lazily, ``kind(aut, *key, vertex_perm(H, aut, *key))`` for every
-    automorphism a of H and every key indexed under S^a in ``translates``,
-    each verified edge-preserving; in (aut images, key) order when every
-    index list is appended in key order."""
+def _matching_maps(H: GroupTable, S: int, U: int, kind, vertex_perm) -> Iterator:
+    """Lazily, ``kind(aut, g, vertex_perm(H, aut, g))`` for every
+    automorphism a of H and every g with S^a = g^-1 U, each verified
+    edge-preserving, in (aut images, g) order: the n left translates g^-1 U
+    are indexed in g order as the targets of the search."""
+    translates: dict[int, list[int]] = {}
+    for g in range(H.order):
+        translates.setdefault(left_translate_mask(H, H.inv[g], U), []).append(g)
     graph, _ = haar_graph(H, S)
     meter = _Meter("part-map search", groups.AUT_SIZE_CAP)
     for aut in groups._isomorphisms(H, H, S, list(translates), meter):
-        for key in translates[mask_image(S, aut)]:
-            perm = vertex_perm(H, aut, *key)
+        for g in translates[mask_image(S, aut)]:
+            perm = vertex_perm(H, aut, g)
             if not graph.is_automorphism(perm):
                 raise RuntimeError(f"{kind.__name__} failed edge check")
-            yield kind(aut, *key, perm)
+            yield kind(aut, g, perm)
 
 
 def part_fix_maps(H: GroupTable, S: int) -> list[PartFixMap]:
     """All part-fixing automorphisms (the set F): a with S^a = g^-1 S,
     looked up among the n left translates of S.  Sorted by (aut images, g)."""
-    translates: dict[int, list[tuple]] = {}
-    for g in range(H.order):
-        translates.setdefault(left_translate_mask(H, H.inv[g], S), []).append((g,))
-    return list(_matching_maps(H, S, translates, PartFixMap, fix_vertex_perm))
+    return list(_matching_maps(H, S, S, PartFixMap, fix_vertex_perm))
 
 
 def _swap_maps(H: GroupTable, S: int) -> Iterator[PartSwapMap]:
     """The part-swapping maps of ``part_swap_maps``, lazily and in its order."""
-    rows = [H.mult[H.inv[y]] for y in range(H.order)]  # h -> y^-1 h
-    translates: dict[int, list[tuple]] = {}
-    for x in range(H.order):
-        s_inv_x = inverse_mask(H, mask_image(S, rows[x]))
-        for y, row in enumerate(rows):
-            translates.setdefault(mask_image(s_inv_x, row), []).append((x, y))
-    return _matching_maps(H, S, translates, PartSwapMap, swap_vertex_perm)
+    return _matching_maps(H, S, inverse_mask(H, S), PartSwapMap, swap_vertex_perm)
 
 
 def part_swap_maps(H: GroupTable, S: int) -> list[PartSwapMap]:
-    """All part-swapping automorphisms (the set I): a with S^a = y^-1 S^-1 x,
-    looked up among the n^2 two-sided translates of S^-1.  Sorted by
-    (aut images, x, y) so "first" is reproducible."""
+    """The part swaps that send 1_0 to 1_1, |F| of them or none: a with
+    S^a = y^-1 S^-1, looked up among the n left translates of S^-1, sorted
+    by (aut images, y) so "first" is reproducible.  Every part swap is a
+    right translation followed by one of them."""
     return list(_swap_maps(H, S))
 
 
@@ -176,7 +172,8 @@ def cayley_certificate_from_swaps(H: GroupTable, S: int) -> Optional[tuple[list[
     """Generators of a regular subgroup of order 2|H|, and the witness of
     the map that completes them: the right translations R and the first
     part-swapping map m, in the order of ``part_swap_maps``, whose square
-    is itself a right translation.  No map after it is built.
+    is itself a right translation.  No map after it is built; each r_g m
+    squares into R exactly when m does, and generates the same <R, m>.
 
     <R, m> = R ∪ mR is regular without a group being built.  For m built
     from the automorphism a, m^-1 r_g m = r_(g^a), so m normalizes R; m^2

@@ -1,6 +1,7 @@
+import hashlib
 import random
 
-from haarcay.automorphisms import automorphism_group
+from haarcay.automorphisms import Certificate, automorphism_group
 from haarcay.bicayley import (
     cayley_certificate_from_swaps,
     fix_vertex_perm,
@@ -11,7 +12,8 @@ from haarcay.bicayley import (
     swap_vertex_perm,
     vt_certificate,
 )
-from haarcay.graphs import haar_graph, right_translation_vertex_perm
+from haarcay.cases import anchored_class_representatives, constructor_catalog
+from haarcay.graphs import haar_graph, right_translation_vertex_perm, verify_certificate
 from haarcay.groups import (
     connection_set,
     cyclic_group,
@@ -50,7 +52,7 @@ def test_identity_fix_map_is_identity_perm():
 def test_abelian_inversion_swap():
     H = cyclic_group(6)
     inv_aut = tuple(H.inv)
-    p = swap_vertex_perm(H, inv_aut, 0, 0)
+    p = swap_vertex_perm(H, inv_aut, 0)
     n = H.order
     for h in range(n):
         assert p[h] == n + H.inv[h]       # h_0 -> (h^-1)_1
@@ -61,7 +63,7 @@ def test_swap_square_reaches_y_with_x_identity():
     H = dihedral_group(5)
     ident_aut = tuple(range(H.order))
     y = H.gen("a")
-    p = swap_vertex_perm(H, ident_aut, 0, y)
+    p = swap_vertex_perm(H, ident_aut, y)
     # 1_0 -> 1_1 -> y_0
     assert p[0] == H.order
     assert p[H.order] == y
@@ -137,7 +139,7 @@ def test_certificates_build_only_the_maps_they_use(monkeypatch):
 
     monkeypatch.setattr(bicayley, "swap_vertex_perm", counting)
     gens, witness = cayley_certificate_from_swaps(H, S)
-    assert PermGroup(2 * H.order, gens).is_regular() and witness["x"] == witness["y"] == 0
+    assert PermGroup(2 * H.order, gens).is_regular() and witness["y"] == 0
     assert len(built) <= 1
     built.clear()
     assert vt_certificate(H, S).is_transitive()
@@ -261,18 +263,27 @@ def test_translation_perms_generate_order_h():
 
 
 def _assert_part_maps(H, S, fix, swap) -> bool:
-    """The part maps and the swap certificate of H and S are exactly those of
-    the reference lists ``fix`` and ``swap``, in their order, and |I| is 0
-    or |H|*|F|; returns whether any part swap exists."""
+    """The part maps and the swap certificate of H and S against the
+    reference lists ``fix`` and ``swap`` (every (a, x, y)): the part fixes
+    are exactly ``fix`` and the listed swaps exactly its swaps with x = 1,
+    in their order; |I| is 0 or |H|*|F| and the listed swaps 0 or |F|; the
+    right translations followed by the listed swaps are exactly I; returns
+    whether any part swap exists."""
     assert [(m.aut, m.g, m.perm) for m in part_fix_maps(H, S)] == fix, (H.tag, S)
-    assert [(m.aut, m.x, m.y, m.perm) for m in part_swap_maps(H, S)] == swap, (H.tag, S)
+    listed = part_swap_maps(H, S)
+    assert [(m.aut, m.y, m.perm) for m in listed] == \
+        [(a, y, perm) for a, x, y, perm in swap if x == 0], (H.tag, S)
     assert len(swap) in (0, H.order * len(fix)), (H.tag, S)
-    usable = [(a, x, y) for a, x, y, perm in swap
-              if pmul(perm, perm) == right_translation_vertex_perm(H, perm[perm[0]])]
+    assert len(listed) in (0, len(fix)), (H.tag, S)
+    assert sorted(pmul(right_translation_vertex_perm(H, g), m.perm)
+                  for g in range(H.order) for m in listed) == \
+        sorted(perm for *_, perm in swap), (H.tag, S)
+    usable = [m for m in listed
+              if pmul(m.perm, m.perm) == right_translation_vertex_perm(H, m.perm[m.perm[0]])]
     cert = cayley_certificate_from_swaps(H, S)
     if usable:
-        a, x, y = usable[0]
-        assert cert[1] == {"kind": "part_swap", "aut": list(a), "x": x, "y": y}, (H.tag, S)
+        assert cert[1] == {"kind": "part_swap", "aut": list(usable[0].aut), "y": usable[0].y}, \
+            (H.tag, S)
     else:
         assert cert is None, (H.tag, S)
     return bool(swap)
@@ -280,7 +291,8 @@ def _assert_part_maps(H, S, fix, swap) -> bool:
 
 def test_part_maps_match_brute_force_scan():
     """The pruned search finds exactly the maps of the naive Aut(H) x H
-    and Aut(H) x H x H scans, in the same order, and |I| is 0 or |H|*|F|."""
+    scan, and the part swaps with x = 1 of the Aut(H) x H x H scan, in the
+    same order; with the right translations they give every scanned swap."""
     rng = random.Random(29)
     instances = []
     for H in (cyclic_group(4), cyclic_group(6), dihedral_group(3)):
@@ -323,3 +335,21 @@ def test_part_maps_match_the_listing_reference_past_brute_force_reach():
             if not _assert_part_maps(H, S, *reference_part_maps(H, S)):
                 without_swaps.add(H.tag)
     assert "MillerMoreno(2,2,3,2)" in without_swaps
+
+
+def test_swap_certificates_cover_the_order_16_catalog():
+    """Swap certificates exist on exactly the same anchored classes of
+    ``constructor_catalog(16)``, pinned by the digest of one 0/1 per class
+    in catalog order, and each one re-verifies on its Haar graph."""
+    present = []
+    for H in constructor_catalog(16):
+        for S in anchored_class_representatives(H):
+            cert = cayley_certificate_from_swaps(H, S)
+            present.append("1" if cert else "0")
+            if cert:
+                graph, _ = haar_graph(H, S)
+                assert verify_certificate(graph, Certificate("cayley", regular_generators=cert[0]))
+    bits = "".join(present)
+    assert (len(bits), bits.count("1")) == (4774, 4669)
+    assert hashlib.sha256(bits.encode()).hexdigest() == \
+        "2ff92cc2406984441f2572653a981863dae8eb22d8dd603c1876fcf3f73dec27"

@@ -34,7 +34,7 @@ from haarcay.perms import BudgetExceeded, PermGroup
 
 GOLDEN = {
     "reproduce": "03a279ec6d6fa77fdad6274cf5e732635ee8edab0c23eb13d79436421c33502e",
-    "hinted": "a0087f4b6596ba1ace0763f5eecb643df711df353ce3e3c2cb6b4d2ca10ffd2c",
+    "hinted": "c39a27554668bace337acd30c1b6be31a0ec388f1d707d88a1278d317b62bb80",
     "generic": "eb85081ee051e41b73cdc8583424d2186978370e00662f995aa1c22d764f5d01",
 }
 
