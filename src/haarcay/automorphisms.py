@@ -10,15 +10,18 @@ automorphism fixing the branch prefix maps onto an explored one.  The tree
 is walked with an explicit stack, one frame per branching node on the
 current path, so its depth is bounded by the vertex count, not by Python's
 recursion limit.  Automorphisms are read off leaves whose relabelled graph
-equals that of the first or the best leaf; every new generator is verified
-edge-preserving before use.  Such an automorphism fixes the prefix the two
-paths share and maps the finished sibling subtree below it onto the current
-one, so the search jumps back to that common ancestor (McKay & Piperno,
-"Practical graph isomorphism, II", 2014).  The labelling of the leaf with
-the least key is canonical: two graphs are isomorphic exactly when their
-canonical relabellings are equal.  Once the subtree of a node on the first
-path is done, the automorphisms found generate its stabilizer, so the orbit
-of its first child under those fixing its prefix is one factor of |Aut|: the
+equals that of the first or the best leaf, which holds exactly when the
+leaf's labelling followed by the inverse of the other's is an automorphism:
+that one edge check, ``Graph.is_automorphism``, both finds a new generator
+and verifies it, and no relabelled copy is built.  Such an automorphism
+fixes the prefix the two paths share and maps the finished sibling subtree
+below it onto the current one, so the search jumps back to that common
+ancestor (McKay & Piperno, "Practical graph isomorphism, II", 2014).  The
+labelling of the leaf whose relabelled rows are least, as a tuple, is
+canonical: two graphs are isomorphic exactly when their canonical
+relabellings are equal.  Once the subtree of a node on the first path is
+done, the automorphisms found generate its stabilizer, so the orbit of its
+first child under those fixing its prefix is one factor of |Aut|: the
 search reads the group order off the first path, and no Schreier-Sims run is
 needed for it.  For the same reason the vertices individualised along the
 first path are a base and the automorphisms found a strong generating set
@@ -78,7 +81,7 @@ from .bicayley import (
     right_translation_group_perms,
 )
 from .graphs import Graph, _failed_check, components, haar_graph, verify_certificate
-from .groups import _dimino_closure, elements_of, mask_of
+from .groups import _dimino_closure, elements_of, mask_image, mask_of
 from .perms import (BudgetExceeded, Perm, PermGroup, _distinct, _Meter, _OrbitCache,
                     _schreier_tree, identity_perm, pinv, pmul)
 
@@ -286,8 +289,9 @@ class _AutSearch:
         self.meter = meter
         self.order = 1
         self.gens: list[Perm] = list(seeds)
-        self.first: Optional[tuple[Perm, tuple, list[int]]] = None
-        self.best: Optional[tuple[Perm, tuple, list[int]]] = None
+        # (vertex -> position, position -> vertex, path) of a leaf
+        self.first: Optional[tuple[Perm, Perm, list[int]]] = None
+        self.best: Optional[tuple[Perm, Perm, list[int]]] = None
 
     def run(self) -> AutResult:
         if self.n == 0:
@@ -300,7 +304,7 @@ class _AutSearch:
             self.meter.charge()
             target = part.target()
             if target < 0:
-                self._leaf(tuple(part.start), stack)
+                self._leaf(part, stack)
             else:
                 prefix = [f.explored[-1] for f in stack]
                 cell = part.lab[target:target + part.size[target]]
@@ -339,28 +343,36 @@ class _AutSearch:
             stack.pop()
         return None
 
-    def _leaf(self, perm: Perm, stack: list[_Frame]) -> None:
-        """Compare the leaf with the first and the best leaf.  An equal key
-        gives an automorphism that fixes the c vertices both paths share and
-        maps the finished sibling subtree at depth c onto the current one, so
-        the search jumps back to depth c."""
-        path = [f.explored[-1] for f in stack]
-        key = tuple(self.graph.relabel(perm).rows)
+    def _leaf(self, part: _Partition, stack: list[_Frame]) -> None:
+        """Compare the leaf with the first and the best leaf.  The two
+        relabelled graphs are equal exactly when the leaf's labelling
+        followed by the inverse of the other's is an automorphism; it fixes
+        the c vertices both paths share and maps the finished sibling subtree
+        at depth c onto the current one, so the search jumps back to depth c.
+        A leaf equal to neither is ordered against the best leaf one position
+        at a time, row i of each relabelled graph being the image of the row
+        of the vertex at position i, up to the first position that differs."""
+        leaf = (tuple(part.start), tuple(part.lab), [f.explored[-1] for f in stack])
         if self.first is None:
-            self.first = self.best = (perm, key, path)
+            self.first = self.best = leaf
             return
-        for other_perm, other_key, other_path in (self.first, self.best):
-            if key == other_key:
-                g = pmul(perm, pinv(other_perm))
+        perm, lab, path = leaf
+        for other in (self.first,) if self.best is self.first else (self.first, self.best):
+            g = pmul(perm, other[1])
+            if self.graph.is_automorphism(g):
                 if g not in self.gens:
-                    if not self.graph.is_automorphism(g):
-                        raise RuntimeError("equal leaf keys but no automorphism")
                     self.gens.append(g)
-                c = next(i for i, (u, v) in enumerate(zip(path, other_path)) if u != v)
+                c = next(i for i, (u, v) in enumerate(zip(path, other[2])) if u != v)
                 del stack[c + 1:]
                 return
-        if key < self.best[1]:
-            self.best = (perm, key, path)
+        rows = self.graph.rows
+        best_perm, best_lab, _ = self.best
+        for v, u in zip(lab, best_lab):
+            mine, theirs = mask_image(rows[v], perm), mask_image(rows[u], best_perm)
+            if mine != theirs:
+                if mine < theirs:
+                    self.best = leaf
+                return
 
 
 def _twin_classes(rows: Sequence[int], colours: Sequence) -> Optional[list[list[int]]]:
@@ -581,9 +593,9 @@ def is_vertex_transitive(graph: Graph,
 
 def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Perm]:
     """A vertex bijection g1 -> g2 when the canonical forms agree, else None.
-    The canonical labellings give the only candidate, and its check is that
-    equality: g1 relabelled by it is g2 exactly when both canonical forms are
-    the same graph."""
+    The canonical labellings give the only candidate: it carries g1 onto g2
+    exactly when both canonical forms are the same graph, and
+    ``Graph.maps_onto`` checks that edge by edge."""
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
         return None
     if sorted(r.bit_count() for r in g1.rows) != sorted(r.bit_count() for r in g2.rows):
@@ -591,7 +603,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Perm]:
     r1 = automorphism_group(g1)
     r2 = automorphism_group(g2)
     mapping = pmul(r1.canonical, pinv(r2.canonical))
-    return mapping if g1.relabel(mapping) == g2 else None
+    return mapping if g1.maps_onto(mapping, g2) else None
 
 
 @dataclass

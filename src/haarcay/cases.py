@@ -281,8 +281,7 @@ def check_quotient_obstruction(H: GroupTable, normal: int, quotient_set: int) ->
         phi[h] = coset * m + ranks[coset]
         phi[H.order + h] = (Q.order + coset) * m + ranks[coset]
         ranks[coset] += 1
-    if sorted(phi) != list(range(big.n)) or \
-            big.relabel(phi) != lex_product(graph, empty_graph(m)):
+    if not big.maps_onto(phi, lex_product(graph, empty_graph(m))):
         raise RuntimeError("blow-up consistency check failed")
     conclusion = "not_in_bc" if (not vt and tfree) else "inconclusive"
     return ObstructionReport(H.tag or "?", m, Q.order, not vt, tfree, True, conclusion,

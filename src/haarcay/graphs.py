@@ -74,15 +74,38 @@ class Graph:
 
     def is_automorphism(self, p: Sequence[int]) -> bool:
         """Whether the vertex map v -> p[v] is a bijection that carries every
-        neighbourhood onto the neighbourhood of the image; stops at the first
-        row that differs."""
-        if len(p) != self.n or set(p) != set(range(self.n)):
+        edge onto an edge: ``maps_onto`` the graph itself."""
+        return self.maps_onto(p, self)
+
+    def maps_onto(self, p: Sequence[int], other: "Graph") -> bool:
+        """Whether the vertex map v -> p[v] is a bijection carrying the graph
+        onto ``other``, as ``self.relabel(p) == other`` says, without building
+        the image.  Each edge {v, u} with u > v is looked up once, and the
+        walk stops at the first whose image {p[v], p[u]} is not an edge of
+        ``other``: a bijection sends distinct edges to distinct pairs, so with
+        equal vertex and edge counts every edge landing on an edge means the
+        edge sets correspond."""
+        n = self.n
+        if len(p) != n or set(p) != set(range(n)):
             return False
-        rows = self.rows
-        return all(mask_image(row, p) == rows[p[v]] for v, row in enumerate(rows))
+        if other is not self and (other.n != n or other.edge_count() != self.edge_count()):
+            return False
+        rows = other.rows
+        for v, row in enumerate(self.rows):
+            image = rows[p[v]]
+            w = row >> (v + 1) << (v + 1)
+            while w:
+                low = w & -w
+                if not image >> p[low.bit_length() - 1] & 1:
+                    return False
+                w ^= low
+        return True
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Image graph: vertex v becomes perm[v]."""
+        """Image graph: vertex v becomes perm[v].  A map that is not a
+        bijection of the vertices raises ``ValueError``."""
+        if len(perm) != self.n or set(perm) != set(range(self.n)):
+            raise ValueError("a relabelling must be a bijection of the vertices")
         rows = [0] * self.n
         for v, row in enumerate(self.rows):
             rows[perm[v]] = mask_image(row, perm)
@@ -106,7 +129,12 @@ class Graph:
 def verify_certificate(graph: Graph, cert) -> bool:
     """Re-check a certificate against the graph, trusting no search: Cayley
     generators are automorphisms closing to a regular group; non-Cayley is
-    an equitable partition into two or more cells, or an exhausted search."""
+    an equitable partition into two or more cells, or an exhausted search.
+    Every generator and orbit entry must be a plain int: a float indexes no
+    row, and a bool would pass for 0 or 1."""
+    lists = (cert.regular_generators or (), cert.orbit_partition or ())
+    if any(type(x) is not int for seqs in lists for seq in seqs for x in seq):
+        return False
     if cert.verdict == "cayley":
         gens = cert.regular_generators
         return gens is not None and all(graph.is_automorphism(p) for p in gens) and \

@@ -91,6 +91,15 @@ def brute_force_graph_automorphisms(rows: list[int]) -> list[tuple[int, ...]]:
     return out
 
 
+def reference_is_automorphism(rows: list[int], p) -> bool:
+    """The row-image check: p is a bijection of the vertices, and the image
+    of every row under p is the row of the image vertex."""
+    n = len(rows)
+    if len(p) != n or set(p) != set(range(n)):
+        return False
+    return all(mask_image(row, p) == rows[p[v]] for v, row in enumerate(rows))
+
+
 def brute_force_is_associative(mult) -> bool:
     """(x*y)*z = x*(y*z) for every triple, all n^3 of them."""
     n = len(mult)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -11,6 +12,7 @@ from haarcay.automorphisms import (
     RegularSearchOutcome,
     _AutSearch,
     _Partition,
+    _cycles,
     _is_semiregular,
     _refine,
     _twin_classes,
@@ -55,6 +57,7 @@ from haarcay.perms import BudgetExceeded, PermGroup, identity_perm, is_identity,
 from oracles import (
     brute_force_graph_automorphisms,
     reference_closed_with,
+    reference_is_automorphism,
     reference_refine,
     reference_subgroup_generated,
 )
@@ -884,6 +887,23 @@ def _is_equitable(rows, cells):
                for cell in cells for w in masks)
 
 
+def _drawn_graph(data, rng):
+    """A random graph, a Haar graph of ``constructor_catalog(20)`` or copies
+    of a random graph, with its vertices shuffled."""
+    kind = data.draw(st.sampled_from(["random", "haar", "copies"]), label="kind")
+    if kind == "random":
+        g = random_graph(data.draw(st.integers(1, 40), label="n"), rng.choice([0.1, 0.3, 0.5]), rng)
+    elif kind == "haar":
+        H = data.draw(st.sampled_from(constructor_catalog(20)), label="H")
+        g = haar_graph(H, rng.randrange(1 << H.order))[0]
+    else:
+        m = data.draw(st.integers(1, 8), label="m")
+        g = disjoint_union([random_graph(m, rng.choice([0.3, 0.5]), rng)] * (40 // m))
+    shuffled = list(range(g.n))
+    rng.shuffle(shuffled)
+    return g.relabel(shuffled)
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_refinement_agrees_with_the_reference(data):
@@ -898,19 +918,8 @@ def test_refinement_agrees_with_the_reference(data):
     from ``1 << v`` alone gives the partition that queueing the rest of v's
     cell too gives, and ``_Partition.individualise`` gives that child."""
     rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
-    kind = data.draw(st.sampled_from(["random", "haar", "copies"]), label="kind")
-    if kind == "random":
-        g = random_graph(data.draw(st.integers(1, 40), label="n"), rng.choice([0.1, 0.3, 0.5]), rng)
-    elif kind == "haar":
-        H = data.draw(st.sampled_from(constructor_catalog(20)), label="H")
-        g = haar_graph(H, rng.randrange(1 << H.order))[0]
-    else:
-        m = data.draw(st.integers(1, 8), label="m")
-        g = disjoint_union([random_graph(m, rng.choice([0.3, 0.5]), rng)] * (40 // m))
+    g = _drawn_graph(data, rng)
     n = g.n
-    shuffled = list(range(n))
-    rng.shuffle(shuffled)
-    g = g.relabel(shuffled)
     colours = data.draw(st.integers(1, 4), label="colours")
     colour = [rng.randrange(colours) for _ in range(n)]
     cells = [c for c in ([v for v in range(n) if colour[v] == k] for k in range(colours)) if c]
@@ -942,6 +951,99 @@ def test_refinement_agrees_with_the_reference(data):
     assert _is_equitable(g.rows, alone)
     assert sorted(map(sorted, alone)) == \
         sorted(map(sorted, _refine(g.rows, child, [1 << v, mask_of(rest)])))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_edge_check_agrees_with_the_row_images(data):
+    """``Graph.is_automorphism``, which looks each edge up once, against the
+    row-image check it replaced, on the graphs of the refinement test: the
+    search's generators, each followed by a random transposition, a random
+    permutation, and maps that are too short, repeat an entry, or hold an
+    entry out of range or negative.  ``maps_onto`` a relabelled copy, an
+    unrelated graph and the copy with one edge toggled answers as
+    ``relabel`` then ``==`` does, and every map ``relabel`` refuses is
+    refused."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    g = _drawn_graph(data, rng)
+    n = g.n
+    gens = automorphism_group(g).generators
+    maps = list(gens)
+    for p in gens:
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        maps.append(pmul(p, _cycles(n, [[i, j]])))
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    q = tuple(shuffled)
+    maps.append(q)
+    malformed = [q[:-1], q + (n,), (n,) + q[1:], (-1,) + q[1:]]
+    if n > 1:
+        malformed.append((q[1],) + q[1:])
+    for p in maps + malformed:
+        assert g.is_automorphism(p) == reference_is_automorphism(g.rows, p), p
+    toggled = Graph.from_edges(n, set(g.edges()) ^ ({(0, 1)} if n > 1 else set()))
+    for other in (g.relabel(q), random_graph(n, 0.3, rng), toggled.relabel(q)):
+        for p in maps + [pmul(a, q) for a in gens]:
+            assert g.maps_onto(p, other) == (g.relabel(p) == other), p
+        for p in malformed:
+            assert not g.maps_onto(p, other)
+            with pytest.raises(ValueError):
+                g.relabel(p)
+
+
+def test_leaves_build_no_relabelled_graph_and_the_edge_check_no_image(monkeypatch):
+    """The search compares leaves by the edge check and never relabels the
+    graph, and the edge check builds no image mask.  Petersen matches every
+    leaf with the first or the best one; on the seeded z3-z4-not-vt Haar
+    graph 4 leaves match neither, so they are ordered against the best, and
+    on the seeded d14-not-vt one such leaf becomes the new best.  Node
+    counts and a digest of the canonical labellings and generators are
+    pinned: comparing leaves by the edge check changes neither."""
+    inside = []
+    calls = {"mask_image": [], "relabel": []}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name].append(inside[-1] if inside else None)
+            return fn(*args)
+        return counted
+
+    def within(name, fn):
+        def marked(*args):
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return marked
+
+    for module in (graphs, automorphisms):
+        monkeypatch.setattr(module, "mask_image", counting("mask_image", graphs.mask_image))
+    monkeypatch.setattr(Graph, "relabel", counting("relabel", Graph.relabel))
+    monkeypatch.setattr(Graph, "is_automorphism", within("is_automorphism", Graph.is_automorphism))
+    monkeypatch.setattr(_AutSearch, "run", within("run", _AutSearch.run))
+    recorded = {
+        "petersen": (15, "bfd3197a4b205348"),
+        "z3-z4-not-vt": (37, "b36c90086a710155"),
+        "d14-not-vt": (7, "44ff02843470908a"),
+    }
+    for name, (nodes, digest) in recorded.items():
+        if name == "petersen":
+            g, seeds = petersen(), []
+        else:
+            case = CASE_INDEX[name]
+            H = group_from_spec(case.group)
+            g, _ = haar_graph(H, connection_set(H, case.words))
+            seeds = right_translation_group_perms(H)
+        calls["mask_image"].clear()
+        calls["relabel"].clear()
+        res = automorphism_group(g, seeds)
+        assert "is_automorphism" not in calls["mask_image"], name
+        assert "run" not in calls["relabel"], name
+        assert ("run" in calls["mask_image"]) == (name != "petersen"), name
+        assert res.nodes == nodes, name
+        assert hashlib.sha256(repr((res.canonical, res.generators)).encode()).hexdigest()[:16] \
+            == digest, name
 
 
 def _levels(res):

@@ -378,6 +378,18 @@ def test_verify_certificate_rejects_images_outside_the_graph():
     assert not verify_certificate(triangle, Certificate("cayley", regular_generators=[(5, 1, 2)]))
 
 
+def test_verify_certificate_refuses_entries_that_are_not_ints():
+    """A float indexes no row and a bool passes for 0 or 1, so the checker
+    refuses both, and raises on neither."""
+    c6 = cycle_graph(6)
+    assert verify_certificate(c6, Certificate("cayley", regular_generators=[[1, 2, 3, 4, 5, 0]]))
+    for gen in ([1.0, 2, 3, 4, 5, 0], [True, 2, 3, 4, 5, 0]):
+        assert not verify_certificate(c6, Certificate("cayley", regular_generators=[gen]))
+    assert verify_certificate(c6, Certificate("non_cayley", orbit_partition=[[0, 2, 4], [1, 3, 5]]))
+    for cells in ([[0, 1, 2], [3, 4, 5.0]], [[0, 2, 4], [1, 3, 5.0]]):
+        assert not verify_certificate(c6, Certificate("non_cayley", orbit_partition=cells))
+
+
 def test_verify_certificate_rejects_non_equitable_partition():
     """An orbit partition is equitable, so a made-up intransitivity witness
     that is not is rejected; the check is necessary, not sufficient."""

@@ -162,6 +162,13 @@ def test_is_automorphism_rejects_non_automorphisms():
     assert not cycle_graph(3).is_automorphism((-1, 1, 2))
 
 
+def test_relabel_refuses_maps_that_are_not_bijections():
+    c4 = cycle_graph(4)
+    for p in ((0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 7)):
+        with pytest.raises(ValueError):
+            c4.relabel(p)
+
+
 def test_lex_product_with_single_vertex():
     g = cycle_graph(5)
     assert lex_product(g, empty_graph(1)) == g
